@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI pipeline: default build + test suite, the bench_smoke metrics
-# check, then the whole suite again under ASan + UBSan (the `sanitize`
-# CMake preset).  Run from anywhere; ~a few minutes on a laptop.
+# check, the wall-clock benchmark's self-test, then the whole suite again
+# under ASan + UBSan (the `sanitize` CMake preset).  Run from anywhere; ~a
+# few minutes on a laptop.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,6 +85,14 @@ echo "=== durability smoke (WAL / snapshot storage + power-loss recovery) ==="
 # The storage-layer unit suites (CRC framing, torn-tail truncation, bit-flip
 # fuzz) plus the full-cluster crash/recovery drills on both runtimes.
 ctest --test-dir build --output-on-failure -j"$JOBS" -R "Storage|Durability"
+
+echo "=== wall-clock benchmark self-test (perfbench/) ==="
+# perfbench compiles src/ with its own host-seam decorators (host::Host,
+# host::Storage, rt::Transport, the replica and client app seams,
+# causal::Service, causal::Cp0Backend), so a seam change that breaks the
+# benchmark build fails here.  Quick runs of every declared workload and
+# pbft-wal, untraced and traced, each behind its correctness gate.
+CARGO_TARGET_DIR=build/perfbench python3 perfbench/selftest.py
 
 echo "=== sanitizer build (ASan + UBSan) ==="
 cmake --preset sanitize

@@ -20,7 +20,8 @@
 #   * every dump is schema-valid JSON (required_daemon section).
 #
 # Env knobs: BUILD (build dir, default ./build), PROTOCOL (default cp0),
-# F (default 1), SEED, BASE_PORT (default: randomized in 20000..60000).
+# F (default 1), SEED, BASE_PORT (default: randomized below the kernel's
+# ephemeral port range).
 # Exit 77 = sockets unavailable in this environment (ctest SKIP).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,7 +32,19 @@ PROTOCOL="${PROTOCOL:-cp0}"
 F="${F:-1}"
 N=$((3 * F + 1))
 SEED="${SEED:-42}"
-BASE_PORT="${BASE_PORT:-$((20000 + RANDOM % 40000))}"
+CLIENTS=4
+# Replicas listen on BASE_PORT.., clients on BASE_PORT+100.. (scab-keygen).
+# All of them stay below the ephemeral range, where the cluster's own
+# outgoing connections take their local ports and would make bind fail.
+EPHEMERAL_LOW=32768
+if read -r low _ < /proc/sys/net/ipv4/ip_local_port_range 2>/dev/null; then
+  EPHEMERAL_LOW=$low
+fi
+PORT_FLOOR=20000
+PORT_LIMIT=$((EPHEMERAL_LOW - 100 - CLIENTS))  # exclusive bound on BASE_PORT
+if [ "$PORT_LIMIT" -le "$PORT_FLOOR" ]; then PORT_FLOOR=1024; fi
+PORT_CHOICES=$((PORT_LIMIT > PORT_FLOOR ? PORT_LIMIT - PORT_FLOOR : 1))
+BASE_PORT="${BASE_PORT:-$((PORT_FLOOR + RANDOM % PORT_CHOICES))}"
 OPS_A=20 OPS_B=20 OPS_C=40 OPS_D=60
 TOTAL=$((OPS_A + OPS_B + OPS_C))
 GRAND_TOTAL=$((TOTAL + OPS_D))
@@ -64,7 +77,7 @@ trap cleanup EXIT
 # durability=fsync + a data dir: replicas WAL every acceptance/execution
 # and snapshot at stable checkpoints, which is what phase D recovers from.
 "$BIN/scab-keygen" --f "$F" --protocol "$PROTOCOL" --seed "$SEED" \
-  --base-port "$BASE_PORT" --clients 4 --checkpoint-interval 8 \
+  --base-port "$BASE_PORT" --clients "$CLIENTS" --checkpoint-interval 8 \
   --durability fsync --data-dir data --out "$DIR"
 
 start_replica() {

@@ -1,12 +1,51 @@
 #include "bft/replica.h"
 
 #include <algorithm>
+#include <array>
+#include <string>
 
 #include "crypto/sha256.h"
 
 namespace scab::bft {
 
 using host::Op;
+
+namespace {
+
+// Durable blobs (DESIGN.md §13).  Each ends in a SHA-256 of everything
+// before it, so a truncated or corrupted blob is rejected before any of
+// its fields is read (or allocated for).
+constexpr uint32_t kSnapshotMagic = 0x53434232;  // "SCB2": segment index
+constexpr uint32_t kSegmentMagic = 0x53434831;   // "SCH1"
+
+std::array<uint8_t, crypto::kSha256DigestSize> digest_of(BytesView body) {
+  crypto::Sha256 h;
+  h.update(body);
+  return h.digest();
+}
+
+Bytes seal(Writer w) {
+  Bytes blob = std::move(w).take();
+  const auto d = digest_of(blob);
+  blob.insert(blob.end(), d.begin(), d.end());
+  return blob;
+}
+
+std::optional<BytesView> unseal(BytesView blob) {
+  if (blob.size() < crypto::kSha256DigestSize) return std::nullopt;
+  const BytesView body = blob.first(blob.size() - crypto::kSha256DigestSize);
+  const auto d = digest_of(body);
+  if (!std::equal(d.begin(), d.end(), blob.begin() + body.size())) {
+    return std::nullopt;
+  }
+  return body;
+}
+
+std::string segment_key(uint64_t first) {
+  return "hist-" + std::to_string(first);
+}
+
+}  // namespace
 
 Replica::Replica(host::Host& host, NodeId id, BftConfig config,
                  const KeyRing& keys, const host::CostModel& costs,
@@ -175,7 +214,7 @@ void Replica::apply_wal_record(BytesView rec) {
 
 Bytes Replica::serialize_snapshot() {
   Writer w;
-  w.u32(0x53434231);  // "SCB1"
+  w.u32(kSnapshotMagic);
   w.u64(view_);
   w.u64(next_seq_);
   w.u64(next_exec_);
@@ -204,20 +243,25 @@ Bytes Replica::serialize_snapshot() {
     reply_cache_.at(c).serialize(w);
   }
 
-  // Batch history so a recovered replica can still answer kFetch.
-  w.u32(static_cast<uint32_t>(history_.size()));
-  for (const auto& [seq, wire] : history_) {
-    w.u64(seq);
-    w.bytes(wire);
+  // The segment index (the batch bodies stay in their segment blobs) and
+  // the retired segments whose erase this snapshot makes durable.
+  w.u32(static_cast<uint32_t>(segments_.size()));
+  for (const auto& [first, last] : segments_) {
+    w.u64(first);
+    w.u64(last);
   }
+  w.u32(static_cast<uint32_t>(retired_.size()));
+  for (uint64_t first : retired_) w.u64(first);
 
   w.bytes(app_->serialize_state(*this));
-  return std::move(w).take();
+  return seal(std::move(w));
 }
 
 bool Replica::restore_snapshot(BytesView blob) {
-  Reader r(blob);
-  if (r.u32() != 0x53434231 || !r.ok()) return false;
+  const auto body = unseal(blob);
+  if (!body) return false;
+  Reader r(*body);
+  if (r.u32() != kSnapshotMagic || !r.ok()) return false;
   const uint64_t view = r.u64();
   const uint64_t next_seq = r.u64();
   const uint64_t next_exec = r.u64();
@@ -239,12 +283,21 @@ bool Replica::restore_snapshot(BytesView blob) {
     const NodeId c = r.u32();
     if (!replies[c].restore(r)) return false;
   }
-  std::map<uint64_t, Bytes> history;
-  const uint32_t n_history = r.u32();
-  for (uint32_t i = 0; i < n_history && r.ok(); ++i) {
-    const uint64_t seq = r.u64();
-    history[seq] = r.bytes();
+  std::map<uint64_t, uint64_t> segments;
+  const uint32_t n_segments = r.u32();
+  for (uint32_t i = 0; i < n_segments && r.ok(); ++i) {
+    const uint64_t first = r.u64();
+    const uint64_t last = r.u64();
+    // Ascending, disjoint, and all executed before the snapshot point.
+    if (first > last || last >= next_exec ||
+        (!segments.empty() && first <= segments.rbegin()->second)) {
+      return false;
+    }
+    segments.emplace_hint(segments.end(), first, last);
   }
+  std::vector<uint64_t> retired;
+  const uint32_t n_retired = r.u32();
+  for (uint32_t i = 0; i < n_retired && r.ok(); ++i) retired.push_back(r.u64());
   const Bytes app_blob = r.bytes();
   if (!r.ok() || !r.done()) return false;
 
@@ -258,7 +311,10 @@ bool Replica::restore_snapshot(BytesView blob) {
   exec_chain_digest_ = std::move(chain);
   executed_window_ = std::move(windows);
   reply_cache_ = std::move(replies);
-  history_ = std::move(history);
+  // Only the index: the tail after the snapshot point comes back through
+  // kExec replay.
+  segments_ = std::move(segments);
+  retired_ = std::move(retired);
   // The BFT state above is intact regardless of the app blob's verdict: a
   // malformed app blob only loses causal pending state, which the
   // reveal-retry protocol rebuilds post-recovery.
@@ -266,12 +322,54 @@ bool Replica::restore_snapshot(BytesView blob) {
   return true;
 }
 
+std::optional<std::vector<Bytes>> Replica::parse_segment(BytesView blob,
+                                                         uint64_t first) {
+  const auto body = unseal(blob);
+  if (!body) return std::nullopt;
+  Reader r(*body);
+  if (r.u32() != kSegmentMagic || r.u64() != first) return std::nullopt;
+  const uint32_t count = r.u32();
+  if (!r.ok() || count > r.remaining() / 4) return std::nullopt;
+  std::vector<Bytes> batches;
+  for (uint32_t i = 0; i < count && r.ok(); ++i) batches.push_back(r.bytes());
+  if (!r.done()) return std::nullopt;
+  return batches;
+}
+
 void Replica::write_snapshot() {
-  // Called at each stable checkpoint (garbage_collect).  put() installs
-  // atomically, so a crash between put and truncate is safe: replay skips
-  // every record the new snapshot subsumes (seq < next_exec_).
+  // Called at each stable checkpoint (garbage_collect).  Every step is
+  // safe to crash after (DESIGN.md §13):
+  //  1. Seal the tail executed since the last snapshot point into a
+  //     write-once segment.  On a crash here the old snapshot stays in
+  //     charge; its WAL replay rebuilds the same tail, and the next
+  //     snapshot rewrites this key.
+  //  2. Put the snapshot: the live segment index plus the segments retired
+  //     below.  put() installs atomically; replay skips every record the
+  //     new snapshot subsumes (seq < next_exec_).
+  //  3. Erase the retired segments.  On a crash before this the snapshot
+  //     still lists them, so the next snapshot erases them.
+  //  4. Truncate the WAL and re-log the live tail.
+  if (!history_.empty()) {
+    const uint64_t first = history_.begin()->first;
+    Writer seg;
+    seg.u32(kSegmentMagic);
+    seg.u64(first);
+    seg.u32(static_cast<uint32_t>(history_.size()));
+    for (const auto& [_, wire] : history_) seg.bytes(wire);
+    storage_->put(segment_key(first), seal(std::move(seg)));
+    segments_[first] = first + history_.size() - 1;  // the tail is contiguous
+    history_.clear();
+  }
+  // Retire every segment wholly behind the last history_limit batches.
+  while (!segments_.empty() &&
+         segments_.begin()->second + config_.history_limit < next_exec_) {
+    retired_.push_back(segments_.begin()->first);
+    segments_.erase(segments_.begin());
+  }
   storage_->put("snapshot", serialize_snapshot());
   m_.snapshots_written->inc();
+  for (uint64_t first : retired_) storage_->erase(segment_key(first));
+  retired_.clear();
   storage_->truncate_log();
   // Re-log the live tail the truncation dropped: the current view and the
   // acceptance/vote state of every still-unexecuted slot.  The window
@@ -393,14 +491,7 @@ void Replica::on_message(NodeId /*from*/, BytesView msg) {
           const uint64_t from_seq = r.u64();
           const uint64_t to_seq = r.u64();
           if (!r.done() || to_seq - from_seq > config_.watermark_window) return;
-          for (uint64_t s = from_seq; s <= to_seq; ++s) {
-            auto it = history_.find(s);
-            if (it == history_.end()) continue;
-            Writer w;
-            w.u64(s);
-            w.bytes(it->second);
-            send_bft(env->sender, BftMsgType::kFetchResp, w.data());
-          }
+          serve_fetch(env->sender, from_seq, to_seq);
           break;
         }
         case BftMsgType::kFetchResp: {
@@ -690,13 +781,14 @@ void Replica::try_execute() {
 }
 
 void Replica::execute_batch(uint64_t seq, const PrePrepare& pp) {
+  Bytes wire = pp.serialize();
   // Commit point: the execution record is durable BEFORE any app effect
   // (replies, causal shares) escapes this replica.  One fsync per batch.
   if (storage_ != nullptr && !replaying_) {
     Writer w;
     w.u8(static_cast<uint8_t>(WalTag::kExec));
     w.u64(seq);
-    w.bytes(pp.serialize());
+    w.bytes(wire);
     wal_append_record(w.data());
     storage_->sync();
   }
@@ -731,8 +823,10 @@ void Replica::execute_batch(uint64_t seq, const PrePrepare& pp) {
   // Chain digest for checkpoints, plus batch history for catch-up fetches.
   exec_chain_digest_ =
       crypto::sha256_tuple({exec_chain_digest_, pp.batch_digest()});
-  history_[seq] = pp.serialize();
-  if (history_.size() > config_.history_limit) history_.erase(history_.begin());
+  history_[seq] = std::move(wire);
+  if (storage_ == nullptr && history_.size() > config_.history_limit) {
+    history_.erase(history_.begin());
+  }
 
   if (seq % config_.checkpoint_interval == 0) {
     Checkpoint cp;
@@ -825,6 +919,34 @@ void Replica::maybe_stabilize(uint64_t seq) {
       }
     }
     return;
+  }
+}
+
+void Replica::serve_fetch(NodeId to, uint64_t from_seq, uint64_t to_seq) {
+  const auto send = [&](uint64_t s, BytesView wire) {
+    Writer w;
+    w.u64(s);
+    w.bytes(wire);
+    send_bft(to, BftMsgType::kFetchResp, w.data());
+  };
+  // Sealed segments first (storage only), from the one holding from_seq.
+  auto seg = segments_.upper_bound(from_seq);
+  if (seg != segments_.begin() && std::prev(seg)->second >= from_seq) --seg;
+  for (; seg != segments_.end() && seg->first <= to_seq; ++seg) {
+    const auto [first, last] = *seg;
+    const auto blob = storage_->get(segment_key(first));
+    const auto batches = blob ? parse_segment(*blob, first) : std::nullopt;
+    // A damaged segment serves nothing; f+1 peers' copies cover it.
+    if (!batches || batches->size() != last - first + 1) continue;
+    for (uint64_t s = std::max(from_seq, first); s <= std::min(to_seq, last);
+         ++s) {
+      send(s, (*batches)[s - first]);
+    }
+  }
+  // Then the in-memory tail.
+  for (auto it = history_.lower_bound(from_seq);
+       it != history_.end() && it->first <= to_seq; ++it) {
+    send(it->first, it->second);
   }
 }
 

@@ -77,6 +77,13 @@ class Replica : public host::HostBound<ReplicaContext> {
   bool in_view_change() const { return view_change_active_; }
   bool has_storage() const { return storage_ != nullptr; }
 
+  /// Decodes a history segment blob (DESIGN.md §13) into the serialized
+  /// batches for seqs `first`, `first` + 1, ...  Returns nullopt when the
+  /// blob is truncated, corrupted, or not the segment starting at `first`;
+  /// a damaged blob fails its checksum before any field is read.
+  static std::optional<std::vector<Bytes>> parse_segment(BytesView blob,
+                                                         uint64_t first);
+
  private:
   struct Slot {
     std::optional<PrePrepare> pre_prepare;
@@ -122,6 +129,7 @@ class Replica : public host::HostBound<ReplicaContext> {
   void garbage_collect(uint64_t stable_seq);
   void note_catchup_target(uint64_t seq);
   void maybe_finish_catchup();
+  void serve_fetch(NodeId to, uint64_t from_seq, uint64_t to_seq);
 
   // --- durability (DESIGN.md §13) ---
   /// WAL record tags.  kAccept/kVote protect against post-recovery
@@ -192,7 +200,16 @@ class Replica : public host::HostBound<ReplicaContext> {
   std::map<uint64_t, Bytes> own_checkpoints_;
 
   // Executed batch history for catch-up (seq -> serialized PrePrepare).
+  // Without storage this map is the whole history, capped at
+  // history_limit.  With storage it holds only the tail executed since the
+  // last snapshot point; write_snapshot seals the tail into a write-once
+  // segment blob and indexes it in segments_ (first seq -> last seq).
+  // retired_ lists segments dropped from the index that may still be on
+  // disk (a restored snapshot's list, or this round's); write_snapshot
+  // lists them in the next snapshot and then erases them.
   std::map<uint64_t, Bytes> history_;
+  std::map<uint64_t, uint64_t> segments_;
+  std::vector<uint64_t> retired_;
 
   // Catch-up fetch: seq -> responder -> serialized batch.
   std::map<uint64_t, std::map<NodeId, Bytes>> fetch_votes_;

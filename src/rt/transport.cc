@@ -153,14 +153,21 @@ void SocketTransport::stop() {
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  // Threads are gone: tear down every fd without races.
+  // Threads are gone: tear down every fd without races.  Senders may still
+  // be posting (ThreadHost::stop() stops the transport before the node
+  // workers), so the eventfd closes under the loop's lock, behind the
+  // closed flag every post checks before its wake write.
   for (auto& loop : loops_) {
     for (auto& [fd, conn] : loop->conns) ::close(fd);
     loop->conns.clear();
     loop->outs.clear();
     if (loop->epfd >= 0) ::close(loop->epfd);
+    loop->epfd = -1;
+    std::lock_guard<std::mutex> lk(loop->mu);
+    loop->closed = true;
+    loop->tasks.clear();
     if (loop->wake_fd >= 0) ::close(loop->wake_fd);
-    loop->epfd = loop->wake_fd = -1;
+    loop->wake_fd = -1;
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -262,21 +269,20 @@ void SocketTransport::loop_run(Loop& loop) {
   }
 }
 
-void SocketTransport::loop_post(Loop& loop, std::function<void()> task) {
-  bool need_wake = false;
-  {
-    std::lock_guard<std::mutex> lk(loop.mu);
-    loop.tasks.push_back(std::move(task));
-    if (!loop.wake_armed) {
-      loop.wake_armed = true;
-      need_wake = true;
-    }
-  }
-  if (need_wake && loop.wake_fd >= 0) {
+bool SocketTransport::loop_post(Loop& loop, std::function<void()> task) {
+  // The wake write stays under the lock: stop() closes the eventfd under
+  // the same lock, so a post never writes into a closed (or, worse,
+  // reused) descriptor.  The write to a nonblocking eventfd never waits.
+  std::lock_guard<std::mutex> lk(loop.mu);
+  if (loop.closed) return false;
+  loop.tasks.push_back(std::move(task));
+  if (!loop.wake_armed) {
+    loop.wake_armed = true;
     const uint64_t one = 1;
     [[maybe_unused]] const ssize_t rc =
         ::write(loop.wake_fd, &one, sizeof(one));
   }
+  return true;
 }
 
 void SocketTransport::handle_wake(Loop& loop) {
@@ -301,8 +307,10 @@ void SocketTransport::handle_accept(Loop& loop) {
       Loop& target = *loops_[accept_rr_++ % loops_.size()];
       if (&target == &loop) {
         adopt_inbound(loop, fd);
-      } else {
-        loop_post(target, [this, &target, fd] { adopt_inbound(target, fd); });
+      } else if (!loop_post(target, [this, &target, fd] {
+                   adopt_inbound(target, fd);
+                 })) {
+        ::close(fd);
       }
       continue;
     }
@@ -457,9 +465,11 @@ void SocketTransport::send(NodeId from, NodeId to, Bytes msg) {
   // Frame on the caller's thread (one copy), then hand to the owning loop.
   Bytes frame = make_frame(from, to, msg);
   Loop& loop = loop_for(to);
-  loop_post(loop, [this, &loop, to, frame = std::move(frame)]() mutable {
-    loop_send(loop, to, std::move(frame));
-  });
+  if (!loop_post(loop, [this, &loop, to, frame = std::move(frame)]() mutable {
+        loop_send(loop, to, std::move(frame));
+      })) {
+    note_send_error();  // raced stop(): dropped and counted like any other
+  }
 }
 
 void SocketTransport::loop_send(Loop& loop, NodeId to, Bytes frame) {

@@ -172,16 +172,18 @@ class SocketTransport final : public Transport {
     std::chrono::steady_clock::time_point next_attempt{};
   };
 
-  /// One epoll event loop.  Everything except `mu`/`tasks`/`wake_armed`
-  /// (the cross-thread handoff) is touched only by the loop's own thread.
+  /// One epoll event loop.  Everything except the cross-thread handoff
+  /// (`tasks`, `wake_armed`, `closed`, and writes to `wake_fd`, all under
+  /// `mu`) is touched only by the loop's own thread.
   struct Loop {
     std::size_t idx = 0;
     int epfd = -1;
     int wake_fd = -1;  // eventfd: cross-thread task handoff
     std::thread thread;
-    std::mutex mu;  // guards tasks + wake_armed only
+    std::mutex mu;
     std::deque<std::function<void()>> tasks;
     bool wake_armed = false;
+    bool closed = false;  // wake_fd is closed: posts are dropped
     std::unordered_map<int, std::unique_ptr<Conn>> conns;  // by fd
     std::unordered_map<NodeId, OutState> outs;             // by dest
     uint64_t jitter_state = 0;
@@ -189,7 +191,9 @@ class SocketTransport final : public Transport {
 
   Loop& loop_for(NodeId to) { return *loops_[to % loops_.size()]; }
   void loop_run(Loop& loop);
-  void loop_post(Loop& loop, std::function<void()> task);
+  /// Queues `task` on the loop and wakes it; false (task dropped) once
+  /// stop() has closed the loop.
+  bool loop_post(Loop& loop, std::function<void()> task);
   void loop_send(Loop& loop, NodeId to, Bytes frame);
   void adopt_inbound(Loop& loop, int fd);
   void handle_accept(Loop& loop);

@@ -6,12 +6,20 @@
 //    attached storage with no loss and no re-execution, on every protocol
 //    and both runtimes;
 //  * a file-backed cluster torn down completely (the in-process model of a
-//    power loss) resumes exactly from its data directory.
+//    power loss) resumes exactly from its data directory;
+//  * the batch history lives in write-once segment blobs beside a snapshot
+//    that only indexes them: the disk keeps just the segments a lagging
+//    peer may still fetch, a crash at any step of the snapshot sequence
+//    leaves no stray segment behind, and a replica trailing a crash-all
+//    catches up from its peers' segments.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +27,8 @@
 #include "bft/client.h"
 #include "bft/replica.h"
 #include "causal/harness.h"
+#include "host/storage.h"
+#include "sim/sim_host.h"
 
 namespace scab::causal {
 namespace {
@@ -243,6 +253,245 @@ TEST(DurabilityThreads, FileBackedColdRestartResumesExactly) {
   }
 
   ASSERT_EQ(std::system(("rm -rf '" + data_dir + "'").c_str()), 0);
+}
+
+// ---------------------------------------------------------------------------
+// History segments (DESIGN.md §13): the snapshot indexes write-once segment
+// blobs instead of carrying the batch bodies.
+
+constexpr uint64_t kHistoryLimit = 16;  // four 4-batch segments
+
+ClusterOptions segment_options() {
+  ClusterOptions opts = base_options(Protocol::kPbft, RuntimeKind::kSim);
+  opts.durability = ClusterOptions::Durability::kMem;
+  opts.bft.history_limit = kHistoryLimit;
+  opts.num_clients = 1;  // closed loop: one op per batch, snapshots every 4
+  return opts;
+}
+
+/// Lets in-flight checkpoint votes land, so every replica that executed a
+/// checkpoint seq has also written its snapshot.
+void settle(Cluster& cluster) {
+  cluster.sim().run_until(cluster.sim().now() + 200 * host::kMillisecond);
+}
+
+/// [first, last] of every "hist-<first>" blob on `disk`; each must parse.
+std::map<uint64_t, uint64_t> segment_ranges(const host::MemStorage& disk) {
+  std::map<uint64_t, uint64_t> out;
+  for (const std::string& key : disk.keys()) {
+    if (key == "snapshot") continue;
+    EXPECT_EQ(key.rfind("hist-", 0), 0u) << "unexpected blob " << key;
+    const uint64_t first = std::stoull(key.substr(5));
+    const auto batches = bft::Replica::parse_segment(*disk.get(key), first);
+    EXPECT_TRUE(batches.has_value() && !batches->empty()) << key;
+    if (batches && !batches->empty()) out[first] = first + batches->size() - 1;
+  }
+  return out;
+}
+
+/// Replica i's disk at a snapshot point holds the snapshot plus exactly the
+/// segments that overlap the last kHistoryLimit batches, back to back.
+void expect_window_layout(Cluster& cluster, uint32_t i,
+                          const host::MemStorage& disk) {
+  SCOPED_TRACE("replica " + std::to_string(i));
+  const bft::Replica& r = cluster.replica(i);
+  const uint64_t last = r.last_executed_seq();
+  ASSERT_EQ(r.low_watermark(), last) << "not quiesced at a snapshot point";
+  const auto ranges = segment_ranges(disk);
+  ASSERT_FALSE(ranges.empty());
+  EXPECT_EQ(ranges.rbegin()->second, last);
+  EXPECT_LE(ranges.begin()->first + kHistoryLimit, last + 1) << "window gap";
+  EXPECT_GT(ranges.begin()->second + kHistoryLimit, last) << "stale segment";
+  for (auto it = ranges.begin(); std::next(it) != ranges.end(); ++it) {
+    EXPECT_EQ(std::next(it)->first, it->second + 1) << "segments not adjacent";
+  }
+}
+
+host::MemStorage& mem_disk(Cluster& cluster, uint32_t i) {
+  return dynamic_cast<host::MemStorage&>(*cluster.host().storage(i));
+}
+
+TEST(DurabilitySegments, DiskKeepsOnlyTheFetchWindowAndSnapshotStaysSmall) {
+  constexpr std::size_t kOpBytes = 4096;
+  Cluster cluster(segment_options());
+  int done = 0;
+  for (int total : {40, 80, 160}) {
+    for (; done < total; ++done) {
+      Bytes big = op(done);
+      big.resize(kOpBytes, 0x42);
+      ASSERT_TRUE(cluster.run_one(0, std::move(big)).has_value());
+    }
+    await_converged(cluster, static_cast<uint64_t>(total));
+    settle(cluster);
+    for (uint32_t i = 0; i < cluster.n(); ++i) {
+      expect_window_layout(cluster, i, mem_disk(cluster, i));
+      // The snapshot indexes the segments; it never carries a batch body.
+      EXPECT_LT(mem_disk(cluster, i).get("snapshot")->size(), kOpBytes);
+    }
+  }
+}
+
+/// MemStorage that dies right after one chosen step of the snapshot
+/// sequence: once armed, the first matching operation completes and every
+/// later write is dropped, so the contents are exactly what a crash at that
+/// point leaves on disk.
+class CrashPointStorage final : public host::Storage {
+ public:
+  enum class Step { kSegmentPut, kSnapshotPut, kSegmentErase, kWalTruncate };
+
+  void arm(Step step) { armed_ = step; }
+  bool crashed() const { return crashed_; }
+  void revive() {
+    armed_.reset();
+    crashed_ = false;
+  }
+  const host::MemStorage& disk() const { return mem_; }
+
+  void put(std::string_view key, BytesView value) override {
+    if (crashed_) return;
+    mem_.put(key, value);
+    hit(key == "snapshot" ? Step::kSnapshotPut : Step::kSegmentPut);
+  }
+  std::optional<Bytes> get(std::string_view key) const override {
+    return mem_.get(key);
+  }
+  void erase(std::string_view key) override {
+    if (crashed_) return;
+    mem_.erase(key);
+    hit(Step::kSegmentErase);
+  }
+  void append(BytesView record) override {
+    if (!crashed_) mem_.append(record);
+  }
+  void sync() override {}
+  std::size_t replay(const std::function<void(BytesView)>& fn) const override {
+    return mem_.replay(fn);
+  }
+  void truncate_log() override {
+    if (crashed_) return;
+    mem_.truncate_log();
+    hit(Step::kWalTruncate);
+  }
+  std::size_t log_records() const override { return mem_.log_records(); }
+
+ private:
+  void hit(Step step) {
+    if (armed_ == step) crashed_ = true;
+  }
+  host::MemStorage mem_;
+  std::optional<Step> armed_;
+  bool crashed_ = false;
+};
+
+/// Makes replica 0 unable to serve anything older than its in-memory tail,
+/// so a laggard's fetch needs both other peers' segments to reach f+1.
+void damage_segments(host::MemStorage& disk) {
+  for (const std::string& key : disk.keys()) {
+    if (key == "snapshot") continue;
+    Bytes blob = *disk.get(key);
+    blob[blob.size() / 2] ^= 0x01;
+    disk.put(key, blob);
+  }
+}
+
+/// Replica 3 misses `count` ops, then must catch up with replica 0's
+/// segments damaged: every batch older than 0's tail comes from replicas 1
+/// and 2 alone.  Ends quiesced at a snapshot point.
+void lag_and_catch_up(Cluster& cluster, int& next, int count) {
+  cluster.crash_replica(3);
+  run_ops(cluster, 0, next, count);
+  next += count;
+  damage_segments(mem_disk(cluster, 0));
+  cluster.restart_replica(3);
+  // Fresh checkpoints reveal the lag; stop on a checkpoint seq.
+  const int more = 8 + (4 - (next + 8) % 4) % 4;
+  run_ops(cluster, 0, next, more);
+  next += more;
+  await_converged(cluster, static_cast<uint64_t>(next));
+  settle(cluster);
+  EXPECT_GE(cluster.replica_metrics(3)
+                .counter("bft.recovery.catchups_completed")
+                .value(),
+            1u);
+}
+
+TEST(DurabilitySegments, CrashAtEveryStepOfTheSnapshotSequence) {
+  using Step = CrashPointStorage::Step;
+  const std::pair<Step, const char*> kSteps[] = {
+      {Step::kSegmentPut, "segment put"},
+      {Step::kSnapshotPut, "snapshot put"},
+      {Step::kSegmentErase, "segment erase"},
+      {Step::kWalTruncate, "WAL truncate"}};
+  for (const auto& [step, name] : kSteps) {
+    SCOPED_TRACE(std::string("crash after ") + name);
+    Cluster cluster(segment_options());
+    // Give replica 2 the crash-point disk before it stores anything.
+    cluster.crash_replica(2);
+    auto owned = std::make_unique<CrashPointStorage>();
+    CrashPointStorage& disk = *owned;
+    static_cast<sim::SimHost&>(cluster.host()).attach_storage(2, std::move(owned));
+    cluster.restart_replica(2);
+
+    // Past kHistoryLimit, so every snapshot also retires a segment.
+    int next = 24;
+    run_ops(cluster, 0, 0, next);
+    await_converged(cluster, static_cast<uint64_t>(next));
+
+    // Load until replica 2 dies mid-snapshot; stop the world right there.
+    disk.arm(step);
+    bft::Client& client = cluster.client(0);
+    while (!disk.crashed()) {
+      ASSERT_LT(next, 40) << "the armed step never ran";
+      const uint64_t before = client.completed_ops();
+      client.submit(op(next++));
+      cluster.sim().run_while(
+          [&] { return disk.crashed() || client.completed_ops() > before; });
+    }
+    cluster.crash_replica(2);
+    disk.revive();
+    cluster.restart_replica(2);
+    // The op in flight at the crash still completes.
+    const host::Time stop_at = cluster.sim().now() + 30 * host::kSecond;
+    cluster.sim().run_while([&] {
+      return client.completed_ops() == static_cast<uint64_t>(next) ||
+             cluster.sim().now() >= stop_at;
+    });
+    ASSERT_EQ(client.completed_ops(), static_cast<uint64_t>(next));
+
+    // A laggard crosses several of replica 2's segment boundaries.
+    lag_and_catch_up(cluster, next, 10);
+    expect_window_layout(cluster, 2, disk.disk());
+  }
+}
+
+TEST(DurabilitySegments, CrashAllWhileOneReplicaTrailsCatchesUpFromSegments) {
+  Cluster cluster(segment_options());
+  int next = 8;
+  run_ops(cluster, 0, 0, next);
+  await_converged(cluster, static_cast<uint64_t>(next));
+
+  // Replica 3 falls 12 batches (three segments) behind the others' last
+  // snapshot point, well inside watermark_window, then everyone crashes.
+  cluster.crash_replica(3);
+  run_ops(cluster, 0, next, 12);
+  next += 12;
+  settle(cluster);
+  for (uint32_t i = 0; i < 3; ++i) cluster.crash_replica(i);
+  for (uint32_t i = 0; i < cluster.n(); ++i) cluster.restart_replica(i);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(echo(cluster, i).executed(), static_cast<uint64_t>(next));
+  }
+  EXPECT_EQ(echo(cluster, 3).executed(), 8u);
+
+  // The recovered peers hold the missing batches only in segments (their
+  // tails restarted empty at the snapshot point).
+  run_ops(cluster, 0, next, 8);
+  next += 8;
+  await_converged(cluster, static_cast<uint64_t>(next));
+  EXPECT_GE(cluster.replica_metrics(3)
+                .counter("bft.recovery.catchups_completed")
+                .value(),
+            1u);
 }
 
 }  // namespace

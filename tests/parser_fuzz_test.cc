@@ -1,15 +1,43 @@
 // Deterministic fuzz sweep over every wire parser: random buffers, sliced
 // valid messages, and bit-flipped valid messages must never crash, hang,
 // or allocate unboundedly — malformed network input is attacker-controlled.
+// The replica's durable blobs (snapshot and history segments) get the same
+// treatment: a damaged blob is rejected before anything is allocated for it.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "bft/envelope.h"
+#include "bft/replica.h"
 #include "bft/types.h"
+#include "causal/harness.h"
 #include "causal/id.h"
 #include "crypto/aead.h"
 #include "crypto/modgroup.h"
 #include "secretshare/arss.h"
 #include "threshenc/hybrid.h"
+
+namespace scab {
+namespace {
+
+// Bytes requested from operator new on this thread while t_counting is set.
+thread_local bool t_counting = false;
+thread_local std::size_t t_allocated = 0;
+
+}  // namespace
+}  // namespace scab
+
+// Out of line, so the compiler never pairs an inlined free() with new.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (scab::t_counting) scab::t_allocated += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace scab {
 namespace {
@@ -226,6 +254,90 @@ TEST_P(ParserFuzzTest, Tdh2OutOfRangeFieldsAreRejectedAtParseTime) {
   hy.box.resize(crypto::kAeadOverhead - 1);
   EXPECT_FALSE(threshenc::HybridCiphertext::parse(group, hy.serialize(group))
                    .has_value());
+}
+
+/// A PBFT cluster with in-memory storage, run to its second snapshot point:
+/// each replica's disk holds a "snapshot" blob and the segment "hist-1".
+std::unique_ptr<causal::Cluster> durable_cluster() {
+  causal::ClusterOptions opts;
+  opts.durability = causal::ClusterOptions::Durability::kMem;
+  opts.bft.checkpoint_interval = 4;
+  auto cluster = std::make_unique<causal::Cluster>(opts);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(
+        cluster->run_one(0, to_bytes("op-" + std::to_string(i))).has_value());
+  }
+  cluster->sim().run_until(cluster->sim().now() + 200 * host::kMillisecond);
+  return cluster;
+}
+
+TEST_P(ParserFuzzTest, DamagedSegmentBlobsAreRejectedWithoutAllocating) {
+  const auto cluster = durable_cluster();
+  const auto blob = cluster->host().storage(0)->get("hist-1");
+  ASSERT_TRUE(blob.has_value());
+  const auto batches = bft::Replica::parse_segment(*blob, 1);
+  ASSERT_TRUE(batches.has_value());
+  ASSERT_FALSE(batches->empty());
+  for (std::size_t i = 0; i < batches->size(); ++i) {
+    const auto pp = bft::PrePrepare::parse((*batches)[i]);
+    ASSERT_TRUE(pp.has_value());
+    EXPECT_EQ(pp->seq, 1 + i);
+  }
+  EXPECT_FALSE(bft::Replica::parse_segment(*blob, 2).has_value());
+
+  const auto rejected_cheaply = [](BytesView damaged) {
+    t_allocated = 0;
+    t_counting = true;
+    const bool parsed = bft::Replica::parse_segment(damaged, 1).has_value();
+    t_counting = false;
+    return !parsed && t_allocated <= damaged.size();
+  };
+  for (std::size_t len = 0; len < blob->size(); ++len) {
+    EXPECT_TRUE(rejected_cheaply(BytesView(blob->data(), len))) << "len=" << len;
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes mutated = *blob;
+    mutated[rng_.uniform(mutated.size())] ^=
+        static_cast<uint8_t>(1u << rng_.uniform(8));
+    EXPECT_TRUE(rejected_cheaply(mutated)) << "trial " << trial;
+  }
+}
+
+TEST_P(ParserFuzzTest, DamagedSnapshotBlobsAreRejectedOnRecovery) {
+  const auto cluster = durable_cluster();
+  host::Storage& disk = *cluster->host().storage(3);
+  const Bytes snapshot = *disk.get("snapshot");
+  const auto loaded = [&] {
+    return cluster->replica_metrics(3)
+        .counter("bft.recovery.snapshot_loaded")
+        .value();
+  };
+  const uint64_t before = loaded();
+  // Under the simulator restart_replica runs recover() inline, so each
+  // restart parses the blob on disk; the next crash discards the result.
+  cluster->crash_replica(3);
+  const auto restore = [&](BytesView blob) {
+    disk.put("snapshot", blob);
+    cluster->restart_replica(3);
+    cluster->crash_replica(3);
+  };
+  for (std::size_t len = 0; len < snapshot.size(); ++len) {
+    restore(BytesView(snapshot.data(), len));
+  }
+  for (int trial = 0; trial < 100; ++trial) {
+    Bytes mutated = snapshot;
+    mutated[rng_.uniform(mutated.size())] ^=
+        static_cast<uint8_t>(1u << rng_.uniform(8));
+    restore(mutated);
+  }
+  EXPECT_EQ(loaded(), before) << "a damaged snapshot was restored";
+
+  disk.put("snapshot", snapshot);
+  cluster->restart_replica(3);
+  EXPECT_EQ(loaded(), before + 1);
+  auto* echo = dynamic_cast<causal::EchoService*>(&cluster->service(3));
+  ASSERT_NE(echo, nullptr);
+  EXPECT_EQ(echo->executed(), 8u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest, ::testing::Range(0, 5));

@@ -9,6 +9,8 @@
 //  * shutdown with a still-alive remote peer: stop() must unblock reader
 //    threads parked in recv on accepted connections (a hang here was
 //    exactly how the first multi-process scab-client run died);
+//  * stop() racing senders on other threads: no post may write its wakeup
+//    into the loop's eventfd after stop() closed it;
 //  * loopback round-trip latency stays in the no-Nagle regime: with
 //    TCP_NODELAY on both accepted and outbound sockets the median RTT is
 //    far below the ~40 ms delayed-ACK interaction the option avoids.
@@ -145,6 +147,51 @@ TEST(SocketTransportStop, UnblocksReadersWithLivePeer) {
   // (A regression hangs the test into its global timeout.)
   server.stop();
   client.stop();
+}
+
+// rt::ThreadHost::stop() stops the transport while node workers may still
+// be inside send().  A post that read the eventfd number before stop()
+// closed it used to write its 8-byte wakeup into whatever that number had
+// become (ThreadSanitizer flagged the unsynchronized read).  Each round
+// rebuilds the transport, as a replica restart does, and reopens the freed
+// descriptor numbers as a pipe that must stay empty.
+TEST(SocketTransportStop, SendersRacingStopInRestartLoop) {
+  SocketTransport server(0);
+  if (!server.ok()) {
+    GTEST_SKIP() << "cannot bind loopback sockets in this environment";
+  }
+  server.start();
+  for (int round = 0; round < 30; ++round) {
+    SocketTransport client(0);
+    ASSERT_TRUE(client.ok());
+    client.add_peer(1, {"127.0.0.1", server.port()});
+    client.start();
+    std::atomic<bool> sending{true};
+    std::vector<std::thread> senders;
+    for (NodeId t = 0; t < 4; ++t) {
+      senders.emplace_back([&client, &sending, t] {
+        while (sending.load(std::memory_order_relaxed)) {
+          client.send(10 + t, 1, Bytes(64, static_cast<uint8_t>(t)));
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    client.stop();
+    int reused[2];
+    const bool piped = ::pipe(reused) == 0;
+    sending.store(false, std::memory_order_relaxed);
+    for (auto& s : senders) s.join();
+    ASSERT_TRUE(piped);
+    // A send after stop() is a counted drop, never a write.
+    const uint64_t dropped = client.send_errors();
+    client.send(10, 1, Bytes(8, 0));
+    EXPECT_EQ(client.send_errors(), dropped + 1);
+    ::close(reused[1]);
+    uint8_t stray = 0;
+    EXPECT_EQ(::read(reused[0], &stray, 1), 0) << "a wakeup hit a reused fd";
+    ::close(reused[0]);
+  }
+  server.stop();
 }
 
 TEST(SocketTransportLatency, LoopbackRoundTripStaysSubDelayedAck) {
