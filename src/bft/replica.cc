@@ -17,6 +17,9 @@ namespace {
 // its fields is read (or allocated for).
 constexpr uint32_t kSnapshotMagic = 0x53434232;  // "SCB2": segment index
 constexpr uint32_t kSegmentMagic = 0x53434831;   // "SCH1"
+// Written before history segments: no checksum, the batch history inline.
+// Still read, so a data directory from then resumes where it stopped.
+constexpr uint32_t kLegacySnapshotMagic = 0x53434231;  // "SCB1"
 
 std::array<uint8_t, crypto::kSha256DigestSize> digest_of(BytesView body) {
   crypto::Sha256 h;
@@ -164,7 +167,6 @@ void Replica::apply_wal_record(BytesView rec) {
       s.pre_prepare = std::move(*pp);
       s.executed = true;
       execute_batch(seq, *s.pre_prepare);
-      next_exec_ = seq + 1;
       next_seq_ = std::max(next_seq_, seq + 1);
       break;
     }
@@ -258,13 +260,17 @@ Bytes Replica::serialize_snapshot() {
 }
 
 bool Replica::restore_snapshot(BytesView blob) {
-  const auto body = unseal(blob);
+  Reader magic(blob);
+  const bool legacy = magic.u32() == kLegacySnapshotMagic && magic.ok();
+  const auto body = legacy ? std::optional<BytesView>(blob) : unseal(blob);
   if (!body) return false;
   Reader r(*body);
-  if (r.u32() != kSnapshotMagic || !r.ok()) return false;
+  if (r.u32() != (legacy ? kLegacySnapshotMagic : kSnapshotMagic) || !r.ok()) {
+    return false;
+  }
   const uint64_t view = r.u64();
   const uint64_t next_seq = r.u64();
-  const uint64_t next_exec = r.u64();
+  uint64_t next_exec = r.u64();
   const uint64_t low_watermark = r.u64();
   const uint64_t local_seq = r.u64();
   const uint64_t executed = r.u64();
@@ -283,8 +289,24 @@ bool Replica::restore_snapshot(BytesView blob) {
     const NodeId c = r.u32();
     if (!replies[c].restore(r)) return false;
   }
+  std::map<uint64_t, Bytes> history;
+  if (legacy) {
+    const uint32_t n_history = r.u32();
+    for (uint32_t i = 0; i < n_history && r.ok(); ++i) {
+      const uint64_t seq = r.u64();
+      // Contiguous, as executed (the tail is sealed as one segment).
+      if (!history.empty() && seq != history.rbegin()->first + 1) return false;
+      history.emplace_hint(history.end(), seq, r.bytes());
+    }
+    // A legacy snapshot taken inside execute_batch recorded the checkpoint
+    // seq itself as next_exec; its history (and state) already hold it.
+    if (!history.empty()) {
+      next_exec = std::max(next_exec, history.rbegin()->first + 1);
+      if (history.rbegin()->first + 1 != next_exec) return false;
+    }
+  }
   std::map<uint64_t, uint64_t> segments;
-  const uint32_t n_segments = r.u32();
+  const uint32_t n_segments = legacy ? 0 : r.u32();
   for (uint32_t i = 0; i < n_segments && r.ok(); ++i) {
     const uint64_t first = r.u64();
     const uint64_t last = r.u64();
@@ -296,7 +318,7 @@ bool Replica::restore_snapshot(BytesView blob) {
     segments.emplace_hint(segments.end(), first, last);
   }
   std::vector<uint64_t> retired;
-  const uint32_t n_retired = r.u32();
+  const uint32_t n_retired = legacy ? 0 : r.u32();
   for (uint32_t i = 0; i < n_retired && r.ok(); ++i) retired.push_back(r.u64());
   const Bytes app_blob = r.bytes();
   if (!r.ok() || !r.done()) return false;
@@ -312,9 +334,11 @@ bool Replica::restore_snapshot(BytesView blob) {
   executed_window_ = std::move(windows);
   reply_cache_ = std::move(replies);
   // Only the index: the tail after the snapshot point comes back through
-  // kExec replay.
+  // kExec replay.  A legacy snapshot's inline history becomes the front of
+  // that tail, so the next snapshot seals it into the first segment.
   segments_ = std::move(segments);
   retired_ = std::move(retired);
+  history_ = std::move(history);
   // The BFT state above is intact regardless of the app blob's verdict: a
   // malformed app blob only loses causal pending state, which the
   // reveal-retry protocol rebuilds post-recovery.
@@ -771,7 +795,6 @@ void Replica::try_execute() {
     if (matching < config_.quorum()) return;
     s.executed = true;
     execute_batch(next_exec_, *s.pre_prepare);
-    ++next_exec_;
     maybe_finish_catchup();
     // The in-flight window moved: the primary can propose queued requests
     // (via maybe_send_batch so anything still blocked keeps its fallback
@@ -827,6 +850,9 @@ void Replica::execute_batch(uint64_t seq, const PrePrepare& pp) {
   if (storage_ == nullptr && history_.size() > config_.history_limit) {
     history_.erase(history_.begin());
   }
+  // Advance before the checkpoint below: a snapshot written there must
+  // resume after seq, whose effects and history entry it already holds.
+  next_exec_ = seq + 1;
 
   if (seq % config_.checkpoint_interval == 0) {
     Checkpoint cp;
@@ -869,7 +895,6 @@ void Replica::try_fetch_execute() {
     const uint64_t s = next_exec_;
     execute_batch(s, *batch);
     slot(s).executed = true;
-    next_exec_ = s + 1;
     maybe_finish_catchup();
     fetch_votes_.erase(s);
   }

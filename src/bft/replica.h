@@ -202,7 +202,8 @@ class Replica : public host::HostBound<ReplicaContext> {
   // Executed batch history for catch-up (seq -> serialized PrePrepare).
   // Without storage this map is the whole history, capped at
   // history_limit.  With storage it holds only the tail executed since the
-  // last snapshot point; write_snapshot seals the tail into a write-once
+  // last snapshot point (after a legacy snapshot's restore, also the history
+  // that snapshot carried); write_snapshot seals the tail into a write-once
   // segment blob and indexes it in segments_ (first seq -> last seq).
   // retired_ lists segments dropped from the index that may still be on
   // disk (a restored snapshot's list, or this round's); write_snapshot

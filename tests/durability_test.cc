@@ -10,8 +10,11 @@
 //  * the batch history lives in write-once segment blobs beside a snapshot
 //    that only indexes them: the disk keeps just the segments a lagging
 //    peer may still fetch, a crash at any step of the snapshot sequence
-//    leaves no stray segment behind, and a replica trailing a crash-all
-//    catches up from its peers' segments.
+//    leaves no stray segment behind, a replica restarts from the snapshot
+//    it wrote while catching up, a replica trailing a crash-all catches up
+//    from its peers' segments, and a data directory written before
+//    segments (history inline in the snapshot) resumes and is resealed,
+//    while a damaged one never crashes recovery.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -25,8 +28,11 @@
 #include <vector>
 
 #include "bft/client.h"
+#include "bft/client_window.h"
 #include "bft/replica.h"
 #include "causal/harness.h"
+#include "common/serialize.h"
+#include "crypto/drbg.h"
 #include "host/storage.h"
 #include "sim/sim_host.h"
 
@@ -462,6 +468,181 @@ TEST(DurabilitySegments, CrashAtEveryStepOfTheSnapshotSequence) {
     lag_and_catch_up(cluster, next, 10);
     expect_window_layout(cluster, 2, disk.disk());
   }
+}
+
+TEST(DurabilitySegments, RestartAfterFetchCatchUpLoadsItsSnapshot) {
+  Cluster cluster(segment_options());
+  int next = 8;
+  run_ops(cluster, 0, 0, next);
+  await_converged(cluster, static_cast<uint64_t>(next));
+
+  // Replica 3 misses 10 ops; the next checkpoint (seq 20) reveals the lag.
+  // It executes seq 20 by fetch with the peers' votes already in, so it
+  // writes its snapshot from inside the catch-up, then nothing else runs.
+  cluster.crash_replica(3);
+  run_ops(cluster, 0, next, 10);
+  next += 10;
+  cluster.restart_replica(3);
+  run_ops(cluster, 0, next, 2);
+  next += 2;
+  await_converged(cluster, static_cast<uint64_t>(next));
+  settle(cluster);
+  ASSERT_EQ(cluster.replica(3).low_watermark(), static_cast<uint64_t>(next));
+  EXPECT_EQ(cluster.replica_metrics(3)
+                .counter("bft.recovery.catchups_completed")
+                .value(),
+            1u);
+
+  obs::Counter& loaded =
+      cluster.replica_metrics(3).counter("bft.recovery.snapshot_loaded");
+  const uint64_t loaded_before = loaded.value();
+  cluster.crash_replica(3);
+  cluster.restart_replica(3);
+  EXPECT_EQ(loaded.value(), loaded_before + 1) << "snapshot rejected";
+  EXPECT_EQ(echo(cluster, 3).executed(), static_cast<uint64_t>(next));
+  EXPECT_EQ(cluster.replica(3).last_executed_seq(),
+            static_cast<uint64_t>(next));
+
+  // Its checkpoints still match the others' (none of seq 20 re-executed).
+  run_ops(cluster, 0, next, 8);
+  next += 8;
+  await_converged(cluster, static_cast<uint64_t>(next));
+  settle(cluster);
+  EXPECT_EQ(cluster.replica(3).low_watermark(), static_cast<uint64_t>(next));
+}
+
+/// Rewrites a replica's disk into the layout written before history
+/// segments: an "SCB1" snapshot (no checksum, the batch history inline,
+/// here taken from the segments) and no segment blobs.  With
+/// `at_checkpoint` next_exec names the last executed seq itself, as an SCB1
+/// snapshot taken inside the batch that reached its checkpoint did.
+void rewrite_as_legacy(host::MemStorage& disk, bool at_checkpoint) {
+  const Bytes sealed = *disk.get("snapshot");
+  const BytesView body(sealed.data(), sealed.size() - 32);  // drop checksum
+  // The replica state up to the segment index is laid out as before.
+  Reader r(body);
+  r.u32();
+  for (int i = 0; i < 6; ++i) r.u64();
+  r.bytes();
+  for (uint32_t n = r.u32(), i = 0; i < n; ++i) {
+    r.u32();
+    ASSERT_TRUE(bft::ClientExecWindow().restore(r));
+  }
+  for (uint32_t n = r.u32(), i = 0; i < n; ++i) {
+    r.u32();
+    ASSERT_TRUE(bft::ClientReplyCache().restore(r));
+  }
+  const std::size_t state_end = body.size() - r.remaining();
+  for (uint32_t n = r.u32(), i = 0; i < 2 * n; ++i) r.u64();  // index
+  for (uint32_t n = r.u32(), i = 0; i < n; ++i) r.u64();      // retired
+  const Bytes app = r.bytes();
+  ASSERT_TRUE(r.done());
+
+  Writer history;
+  uint32_t count = 0;
+  uint64_t last = 0;
+  for (const auto& [first, _] : segment_ranges(disk)) {
+    const std::string key = "hist-" + std::to_string(first);
+    const auto batches = bft::Replica::parse_segment(*disk.get(key), first);
+    ASSERT_TRUE(batches.has_value());
+    for (std::size_t i = 0; i < batches->size(); ++i) {
+      last = first + i;
+      history.u64(last);
+      history.bytes((*batches)[i]);
+      ++count;
+    }
+    disk.erase(key);
+  }
+
+  Writer w;
+  w.u32(0x53434231);  // "SCB1"
+  w.raw(body.subspan(4, state_end - 4));
+  w.u32(count);
+  w.raw(history.data());
+  w.bytes(app);
+  Bytes legacy = std::move(w).take();
+  if (at_checkpoint) {
+    // next_exec is the third u64 after the magic, little-endian.
+    for (int b = 0; b < 8; ++b) {
+      legacy[4 + 16 + b] = static_cast<uint8_t>(last >> (8 * b));
+    }
+  }
+  disk.put("snapshot", legacy);
+}
+
+TEST(DurabilitySegments, LegacySnapshotsResumeAndSealTheirHistory) {
+  Cluster cluster(segment_options());
+  int next = 12;
+  run_ops(cluster, 0, 0, next);
+  await_converged(cluster, static_cast<uint64_t>(next));
+
+  // Replica 3 trails the others by two segments when the whole cluster
+  // stops; every disk is then left as a pre-segment replica wrote it.
+  cluster.crash_replica(3);
+  run_ops(cluster, 0, next, 8);
+  next += 8;
+  settle(cluster);
+  for (uint32_t i = 0; i < 3; ++i) cluster.crash_replica(i);
+  for (uint32_t i = 0; i < cluster.n(); ++i) {
+    rewrite_as_legacy(mem_disk(cluster, i), /*at_checkpoint=*/i % 2 == 0);
+  }
+  for (uint32_t i = 0; i < cluster.n(); ++i) {
+    obs::Counter& loaded =
+        cluster.replica_metrics(i).counter("bft.recovery.snapshot_loaded");
+    const uint64_t before = loaded.value();
+    cluster.restart_replica(i);
+    EXPECT_EQ(loaded.value(), before + 1) << "replica " << i;
+  }
+  EXPECT_EQ(echo(cluster, 0).executed(), static_cast<uint64_t>(next));
+  EXPECT_EQ(echo(cluster, 3).executed(), 12u);
+
+  // Replica 3 fetches the batches the others hold only in their restored
+  // legacy history, then everyone seals it into segments.
+  run_ops(cluster, 0, next, 8);
+  next += 8;
+  await_converged(cluster, static_cast<uint64_t>(next));
+  settle(cluster);
+  EXPECT_GE(cluster.replica_metrics(3)
+                .counter("bft.recovery.catchups_completed")
+                .value(),
+            1u);
+  for (uint32_t i = 0; i < cluster.n(); ++i) {
+    expect_window_layout(cluster, i, mem_disk(cluster, i));
+  }
+}
+
+TEST(DurabilitySegments, DamagedLegacySnapshotsNeverCrashRecovery) {
+  Cluster cluster(segment_options());
+  run_ops(cluster, 0, 0, 8);
+  await_converged(cluster, 8);
+  settle(cluster);
+  cluster.crash_replica(3);
+  host::MemStorage& disk = mem_disk(cluster, 3);
+  rewrite_as_legacy(disk, /*at_checkpoint=*/true);
+  const Bytes legacy = *disk.get("snapshot");
+  obs::Counter& loaded =
+      cluster.replica_metrics(3).counter("bft.recovery.snapshot_loaded");
+  // Under the simulator restart_replica runs recover() inline.
+  const auto restore = [&](BytesView blob) {
+    disk.put("snapshot", blob);
+    const uint64_t before = loaded.value();
+    cluster.restart_replica(3);
+    cluster.crash_replica(3);
+    return loaded.value() > before;
+  };
+  // An SCB1 blob has no checksum, so a bit flip may still parse; it must
+  // never crash recovery, and a truncated blob never parses.
+  for (std::size_t len = 0; len < legacy.size(); ++len) {
+    EXPECT_FALSE(restore(BytesView(legacy.data(), len))) << "len=" << len;
+  }
+  crypto::Drbg rng(to_bytes("legacy-snapshot-flips"));
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes mutated = legacy;
+    mutated[rng.uniform(mutated.size())] ^=
+        static_cast<uint8_t>(1u << rng.uniform(8));
+    restore(mutated);
+  }
+  EXPECT_TRUE(restore(legacy));
 }
 
 TEST(DurabilitySegments, CrashAllWhileOneReplicaTrailsCatchesUpFromSegments) {
