@@ -9,6 +9,9 @@
 #include "bft/client.h"
 #include "bft/replica.h"
 #include "causal/harness.h"
+#include "common/serialize.h"
+#include "crypto/sha256.h"
+#include "host/storage.h"
 
 namespace scab::causal {
 namespace {
@@ -110,6 +113,188 @@ TEST(Determinism, AsyncEngineIsDeterministicToo) {
   const RunSignature b = run_stack(Protocol::kCp2, Engine::kAsyncEngine, 5);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.completed, 12u);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned fingerprints: a refactor that claims to leave the simulator's
+// output alone must reproduce these digests exactly.  A change that alters
+// the protocol on purpose re-pins them and says so in CHANGES.md.
+
+struct FingerprintCase {
+  const char* name;
+  Protocol protocol;
+  Engine engine;
+  uint32_t client_batch;
+  uint32_t client_inflight;
+  const char* digest;  // hex SHA-256
+};
+
+// Metric prefix of the protocols with a reveal step after delivery.
+const char* reveal_prefix(Protocol p) {
+  switch (p) {
+    case Protocol::kCp0:
+      return "cp0";
+    case Protocol::kCp2:
+      return "cp2";
+    case Protocol::kCp3:
+      return "cp3";
+    default:
+      return "";
+  }
+}
+
+void mix_u64(crypto::Sha256& h, uint64_t v) {
+  Writer w;
+  w.u64(v);
+  h.update(std::move(w).take());
+}
+
+void mix_bytes(crypto::Sha256& h, BytesView b) {
+  mix_u64(h, b.size());
+  h.update(b);
+}
+
+// One seeded LAN run with calibrated costs and in-memory durability.  On
+// the PBFT engine replica 3 misses six ops and catches up (its reveals
+// then retry, and its peers answer share re-requests from their completed
+// caches), and a full-cluster crash recovers every replica from storage.
+// The digest covers every reply, the virtual time after each phase, the
+// clients' total latency, the event and message counts, and each replica's
+// storage: blobs sorted by key, then the WAL records.
+std::string fingerprint(const FingerprintCase& c, obs::MetricsRegistry* merged) {
+  ClusterOptions opts;
+  opts.protocol = c.protocol;
+  opts.engine = c.engine;
+  opts.bft = bft::BftConfig::for_f(1);
+  opts.bft.checkpoint_interval = 4;
+  opts.profile = sim::NetworkProfile::lan();
+  opts.costs = sim::CostModel::default_symmetric_era();
+  opts.num_clients = 2;
+  opts.seed = 77;
+  opts.durability = ClusterOptions::Durability::kMem;
+  opts.client_batch = c.client_batch;
+  opts.client_inflight = c.client_inflight;
+  opts.service_factory = [] { return std::make_unique<apps::KvStore>(); };
+  Cluster cluster(opts);
+  sim::Simulator& sim = cluster.sim();
+
+  crypto::Sha256 h;
+  uint64_t target = 0;  // ops per client so far
+  // Both clients run `per_client` more ops concurrently; every reply is
+  // hashed in completion order.
+  auto run = [&](uint64_t per_client) {
+    target += per_client;
+    for (uint32_t ci = 0; ci < 2; ++ci) {
+      bft::Client& client = cluster.client(ci);
+      client.run_closed_loop(
+          [ci](uint64_t i) {
+            return apps::KvStore::put(
+                std::to_string(ci) + "/" + std::to_string(i % 5),
+                to_bytes("v" + std::to_string(i)));
+          },
+          per_client,
+          [&h, &client, ci](uint64_t index, host::Time start, host::Time end) {
+            mix_u64(h, ci);
+            mix_u64(h, index);
+            mix_u64(h, end - start);
+            mix_bytes(h, client.last_result());
+          });
+    }
+    const host::Time stop_at = sim.now() + 120 * host::kSecond;
+    sim.run_while([&] {
+      return (cluster.client(0).completed_ops() >= target &&
+              cluster.client(1).completed_ops() >= target) ||
+             sim.now() >= stop_at;
+    });
+    EXPECT_EQ(cluster.client(0).completed_ops(), target) << c.name;
+    EXPECT_EQ(cluster.client(1).completed_ops(), target) << c.name;
+    mix_u64(h, sim.now());
+  };
+
+  run(2);
+  if (c.engine == Engine::kPbftEngine) {
+    cluster.crash_replica(3);
+    run(3);
+    cluster.restart_replica(3);
+    // Only a later checkpoint shows replica 3 its lag, so keep the clients
+    // going one op at a time until it has caught up: delivered everything
+    // replica 0 delivered, and revealed all of it.
+    const std::string pending = std::string(reveal_prefix(c.protocol)) + ".pending";
+    auto caught_up = [&] {
+      return cluster.replica_executed(3) >= cluster.replica_executed(0) &&
+             cluster.replica_metrics(3).gauge_value(pending) == 0;
+    };
+    for (int round = 0; round < 8 && !caught_up(); ++round) {
+      run(1);
+      const host::Time stop_at = sim.now() + 2 * host::kSecond;
+      sim.run_while([&] { return caught_up() || sim.now() >= stop_at; });
+    }
+    EXPECT_TRUE(caught_up()) << c.name << ": replica 3 never caught up";
+    mix_u64(h, sim.now());
+    for (uint32_t i = 0; i < cluster.n(); ++i) cluster.crash_replica(i);
+    for (uint32_t i = 0; i < cluster.n(); ++i) cluster.restart_replica(i);
+  } else {
+    run(3);
+  }
+  run(3);
+
+  mix_u64(h, cluster.client(0).total_latency() +
+                 cluster.client(1).total_latency());
+  mix_u64(h, sim.events_processed());
+  mix_u64(h, cluster.net().messages_sent());
+  for (uint32_t i = 0; i < cluster.n(); ++i) {
+    auto* disk = dynamic_cast<host::MemStorage*>(cluster.host().storage(i));
+    if (disk == nullptr) {
+      ADD_FAILURE() << c.name << ": replica " << i << " has no MemStorage";
+      continue;
+    }
+    for (const std::string& key : disk->keys()) {
+      mix_bytes(h, to_bytes(key));
+      mix_bytes(h, *disk->get(key));
+    }
+    mix_u64(h, disk->log_records());
+    disk->replay([&h](BytesView rec) { mix_bytes(h, rec); });
+  }
+  if (merged != nullptr) *merged = cluster.merged_metrics();
+  const auto digest = h.digest();
+  return hex_encode(BytesView(digest.data(), digest.size()));
+}
+
+TEST(DeterminismTest, MatchesPinnedFingerprint) {
+  const FingerprintCase kCases[] = {
+      {"PBFT", Protocol::kPbft, Engine::kPbftEngine, 1, 1,
+       "335ea130af66e719f3d047bf045d881bb92d3424aae6091b53525552bd5600c6"},
+      {"CP0", Protocol::kCp0, Engine::kPbftEngine, 1, 1,
+       "07a60bc9656eee87c2a850a5b30d6c40a0d0d85e0a00eb939028fe99207f60d6"},
+      {"CP0-batched", Protocol::kCp0, Engine::kPbftEngine, 4, 2,
+       "8671c73cd58e929c1a2679c23999d14f0225e7cbf7f4cb26bf47a3b182af79ea"},
+      {"CP1", Protocol::kCp1, Engine::kPbftEngine, 1, 1,
+       "5b061e460a48a4b728377634f094fdd487166c809245f0423f98a363e99b0036"},
+      {"CP2", Protocol::kCp2, Engine::kPbftEngine, 1, 1,
+       "33cc41a50e641ea7abab5e8eb6cc421b427a368ee871b0f3c4daea66719b4120"},
+      {"CP3", Protocol::kCp3, Engine::kPbftEngine, 1, 1,
+       "a3b009b617bd1ff3794bced0616d2959a9b86a1bb59c655b4191e2ca878c6801"},
+      {"CP2-async", Protocol::kCp2, Engine::kAsyncEngine, 1, 1,
+       "b77241687747a8dd0e40e4153cbdfe77cba26013f13a62dc33d080b0af740a95"},
+  };
+  for (const FingerprintCase& c : kCases) {
+    obs::MetricsRegistry merged;
+    EXPECT_EQ(fingerprint(c, &merged), c.digest) << c.name;
+    if (c.engine != Engine::kPbftEngine) continue;
+    // The restart schedule must keep driving the paths it exists to pin.
+    const std::string proto = reveal_prefix(c.protocol);
+    EXPECT_GE(merged.counter_value("bft.recovery.snapshot_loaded"), 1u)
+        << c.name;
+    if (proto.empty()) continue;
+    EXPECT_GT(merged.counter_value(proto + ".reveal_retries"), 0u) << c.name;
+    EXPECT_GT(merged.counter_value(proto + ".share_rerequests_answered"), 0u)
+        << c.name;
+    if (c.client_batch > 1) {
+      const obs::Histogram* payloads = merged.find_histogram("cp0.batch_size");
+      ASSERT_NE(payloads, nullptr);
+      EXPECT_GT(payloads->max(), 1u) << "no envelope packed two payloads";
+    }
+  }
 }
 
 }  // namespace
