@@ -484,28 +484,13 @@ ModeledThresholdBackend::combine_batch_preverified(
 // ---------------------------------------------------------------------------
 // Cp0ReplicaApp
 
-namespace {
-Bytes encode_share_msg(const RequestId& id, BytesView share) {
-  Writer w;
-  id.write(w);
-  w.bytes(share);
-  return std::move(w).take();
-}
-}  // namespace
-
-void Cp0ReplicaApp::bind_metrics(bft::ReplicaContext& ctx) {
-  if (m_.ct_verified != nullptr) return;
-  obs::MetricsRegistry& reg = ctx.metrics();
+void Cp0ReplicaApp::bind_scheme_metrics(obs::MetricsRegistry& reg) {
   m_.ct_verified = &reg.counter("cp0.ct_verified");
   m_.ct_rejected = &reg.counter("cp0.ct_rejected");
   m_.shares_verified = &reg.counter("cp0.shares_verified");
   m_.shares_rejected = &reg.counter("cp0.shares_rejected");
   m_.combines = &reg.counter("cp0.combines");
-  m_.early_stashed = &reg.counter("cp0.early_stashed");
   m_.batch_fallbacks = &reg.counter("cp0.batch_fallbacks");
-  m_.reveal_retries = &reg.counter("cp0.reveal_retries");
-  m_.share_rerequests_answered = &reg.counter("cp0.share_rerequests_answered");
-  m_.late_shares_dropped = &reg.counter("cp0.late_shares_dropped");
   // Two distinct batch notions: `cp0.batch_size` is the causal-layer one
   // (payloads aggregated under one TDH2 envelope, matching cp1/cp2/cp3);
   // the share-verification flush size keeps its own histogram.
@@ -513,16 +498,13 @@ void Cp0ReplicaApp::bind_metrics(bft::ReplicaContext& ctx) {
   m_.envelope_payloads = &reg.histogram("cp0.batch_size");
   m_.reveal_ns = &reg.histogram("cp0.reveal_ns");
   m_.inflight_slots = &reg.histogram("pipeline.inflight_slots");
-  m_.pending = &reg.gauge("cp0.pending");
-  m_.early_shares = &reg.gauge("cp0.early_shares");
   backend_->bind_metrics(reg);
-  tracer_ = &ctx.tracer();
 }
 
 bool Cp0ReplicaApp::validate_request(NodeId client,
                                      const bft::ClientRequestMsg& msg,
                                      bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
+  bind(ctx);
   // "Each replica should verify that the label in the ciphertext indeed
   // contains the identity of the sender" — the label IS (client, seq), so
   // verifying the ciphertext against the label derived from the
@@ -549,235 +531,142 @@ bool Cp0ReplicaApp::validate_request(NodeId client,
   return true;
 }
 
-void Cp0ReplicaApp::on_deliver(uint64_t /*seq*/, const bft::Request& req,
-                               bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  const RequestId id{req.client, req.client_seq};
-  if (completed_.contains(id)) return;
-  PendingReveal& p = pending_[id];
-  if (p.delivered) return;
-  p.delivered = true;
-  p.delivered_at = ctx.now();
-  p.ciphertext = req.payload;
-  p.client = req.client;
-  p.client_seq = req.client_seq;
-  exec_queue_.push_back(id);
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
+std::unique_ptr<RevealEngine::SchemeState> Cp0ReplicaApp::admit(
+    BytesView payload) {
+  auto s = std::make_unique<Tdh2State>();
+  s->ciphertext.assign(payload.begin(), payload.end());
+  return s;
+}
 
-  // Adopt any shares that raced ahead of delivery.
-  for (auto& [sender, stash] : early_shares_) {
-    for (auto sit = stash.begin(); sit != stash.end();) {
-      if (sit->first != id) {
-        ++sit;
-        continue;
-      }
-      if (!p.valid_from.contains(sender) && !p.unverified.contains(sender)) {
-        p.unverified[sender] = std::move(sit->second);
-      }
-      sit = stash.erase(sit);
-    }
-  }
-
+void Cp0ReplicaApp::start(const RequestId& id, Reveal& r,
+                          bft::ReplicaContext& ctx) {
+  Tdh2State& s = tdh2(r);
+  const Bytes& ct = s.ciphertext;
   // Reveal step: produce and broadcast our decryption share — ONE per
   // envelope, however many payloads it packs (that is the amortization).
   // The proof check was already paid at validate_request time iff PBFT
   // delivered the exact bytes this replica validated; a backup that
   // admitted the request from a pre-prepare without validating it (or saw
   // different bytes) pays it now.
-  p.label = backend_->reveal_label(req.payload, id.encode());
-  p.count = backend_->batch_count(req.payload);
-  m_.envelope_payloads->record(p.count);
-  if (p.count > 1) ctx.charge(Op::kHash, req.payload.size());
+  s.label = backend_->reveal_label(ct, id.encode());
+  r.count = backend_->batch_count(ct);
+  m_.envelope_payloads->record(r.count);
+  if (r.count > 1) ctx.charge(Op::kHash, ct.size());
   bool ciphertext_ok = false;
   if (auto vit = validated_.find(id); vit != validated_.end()) {
-    ctx.charge(Op::kHash, req.payload.size());
-    ciphertext_ok = vit->second == crypto::sha256(req.payload);
+    ctx.charge(Op::kHash, ct.size());
+    ciphertext_ok = vit->second == crypto::sha256(ct);
     validated_.erase(vit);
   }
   if (!ciphertext_ok) {
-    ctx.charge(Op::kTdh2VerifyCt, req.payload.size());
-    ciphertext_ok = backend_->verify_ciphertext(req.payload, p.label);
+    ctx.charge(Op::kTdh2VerifyCt, ct.size());
+    ciphertext_ok = backend_->verify_ciphertext(ct, s.label);
   }
   std::optional<Bytes> share;
   if (ciphertext_ok) {
     // Share decryption only touches the KEM header, so a batched envelope
     // pays the single-envelope price (1 KB convention unit), not one
     // proportional to the packed payload bytes.
-    ctx.charge(Op::kTdh2ShareDec, p.count > 1 ? 1024 : req.payload.size());
-    share = backend_->decryption_share_preverified(ctx.id() + 1, req.payload,
-                                                   p.label, ctx.rng());
+    ctx.charge(Op::kTdh2ShareDec, r.count > 1 ? 1024 : ct.size());
+    share = backend_->decryption_share_preverified(ctx.id() + 1, ct, s.label,
+                                                   ctx.rng());
   }
   if (share) {
-    // Our own share is counted immediately (and kept honest even when this
-    // replica serves corrupted shares to everyone else).
-    p.valid_from.insert(ctx.id());
-    p.valid.push_back(*share);
-    p.own_share_wire = *share;
-    ctx.broadcast_causal(encode_share_msg(id, corrupted_if_faulty(*share)));
+    r.own_share = std::move(*share);
+    resume(id, r, ctx);
+    send_share(id, r.own_share, std::nullopt, ctx);
   }
-  try_reveal(id, ctx);
-  arm_reveal_retry(id, 0, ctx);
+  advance(id, r, ctx);
 }
 
-Bytes Cp0ReplicaApp::corrupted_if_faulty(const Bytes& wire) const {
-  if (!corrupt_shares_) return wire;
-  Bytes outgoing = wire;
-  for (std::size_t i = 0; i < outgoing.size(); i += 7) outgoing[i] ^= 0xa5;
+void Cp0ReplicaApp::resume(const RequestId& /*id*/, Reveal& r,
+                           bft::ReplicaContext& ctx) {
+  // Our own share counts at once, unverified: it is honest even when this
+  // replica serves corrupted shares to everyone else.
+  if (r.own_share.empty()) return;
+  r.senders.insert(ctx.id());
+  tdh2(r).valid.push_back(r.own_share);
+}
+
+std::optional<Bytes> Cp0ReplicaApp::open_share(const RequestId& /*id*/,
+                                               NodeId /*from*/, Bytes x,
+                                               std::size_t /*frame_size*/,
+                                               bft::ReplicaContext& /*ctx*/) {
+  return x;
+}
+
+Bytes Cp0ReplicaApp::share_frame(const RequestId& id, NodeId /*to*/,
+                                 BytesView wire, bft::ReplicaContext& /*ctx*/) {
+  Writer w;
+  id.write(w);
+  w.bytes(wire);
+  return std::move(w).take();
+}
+
+std::optional<uint32_t> Cp0ReplicaApp::share_index(BytesView wire) const {
+  // Both backends' share wires lead with the 1-based index.
+  Reader rd(wire);
+  const uint32_t index = rd.u32();
+  if (!rd.ok()) return std::nullopt;
+  return index;
+}
+
+void Cp0ReplicaApp::take_share(const RequestId& id, Reveal& r, NodeId from,
+                               Bytes wire, bool fresh,
+                               bft::ReplicaContext& ctx) {
+  const auto index = share_index(wire);
+  if (!index || !accepts(r, from, *index, ctx)) return;
+  tdh2(r).unverified.emplace(from, std::move(wire));
+  if (fresh) advance(id, r, ctx);
+}
+
+Bytes Cp0ReplicaApp::corrupt(BytesView wire) const {
+  // Garbage behind an intact index: the share costs a verification, which
+  // is what Table IV measures, instead of being dropped at intake.
+  Bytes outgoing(wire.begin(), wire.end());
+  for (std::size_t i = 7; i < outgoing.size(); i += 7) outgoing[i] ^= 0xa5;
   return outgoing;
 }
 
-void Cp0ReplicaApp::arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                                     bft::ReplicaContext& ctx) {
-  if (attempt >= kMaxRevealRetries) return;
-  {
-    auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.delivered || it->second.revealed) {
-      return;
-    }
-  }
-  ctx.schedule(kRevealRetryBase << std::min(attempt, 4u),
-               [this, id, attempt, &ctx] {
-                 auto it = pending_.find(id);
-                 if (it == pending_.end() || !it->second.delivered ||
-                     it->second.revealed) {
-                   return;
-                 }
-                 m_.reveal_retries->inc();
-                 // Shares can have been lost to a partition or a peer
-                 // restart: push ours again and ask for everyone else's
-                 // (an empty share wire is the re-request sentinel; it can
-                 // never be a real share, which always parses non-empty).
-                 if (!it->second.own_share_wire.empty()) {
-                   ctx.broadcast_causal(encode_share_msg(
-                       id, corrupted_if_faulty(it->second.own_share_wire)));
-                 }
-                 ctx.broadcast_causal(encode_share_msg(id, Bytes{}));
-                 arm_reveal_retry(id, attempt + 1, ctx);
-               });
-}
-
-void Cp0ReplicaApp::answer_share_request(const RequestId& id, NodeId from,
-                                         bft::ReplicaContext& ctx) {
-  const Bytes* wire = nullptr;
-  if (auto it = pending_.find(id);
-      it != pending_.end() && !it->second.own_share_wire.empty()) {
-    wire = &it->second.own_share_wire;
-  } else if (auto cit = completed_shares_.find(id);
-             cit != completed_shares_.end()) {
-    wire = &cit->second;
-  }
-  if (wire == nullptr) return;  // never delivered it (or evicted): silence
-  m_.share_rerequests_answered->inc();
-  ctx.send_causal(from, encode_share_msg(id, corrupted_if_faulty(*wire)));
-}
-
-void Cp0ReplicaApp::on_causal_message(NodeId from, BytesView body,
-                                      bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  Reader r(body);
-  const RequestId id = RequestId::read(r);
-  const Bytes share = r.bytes();
-  if (!r.done()) return;
-  if (share.empty()) {
-    // Re-request sentinel (see arm_reveal_retry): the sender lost our share
-    // — most likely it restarted and is re-collecting for requests we have
-    // long finished.  Answer before the completed_ drop below.
-    answer_share_request(id, from, ctx);
-    return;
-  }
-  if (completed_.contains(id)) {
-    // Late share: the reveal already completed and executed.  Dropped on
-    // the floor — never re-queued into pending_, which would resurrect
-    // reveal state for a finished request without bound.
-    m_.late_shares_dropped->inc();
-    return;
-  }
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
-    // Not delivered yet.  A correct peer can legitimately be ahead of us,
-    // but a Byzantine one can also name RequestIds forever — so stash the
-    // share in a bounded per-sender FIFO instead of creating reveal state
-    // keyed by an unauthenticated id.
-    auto& stash = early_shares_[from];
-    for (const auto& [stashed_id, unused] : stash) {
-      if (stashed_id == id) return;
-    }
-    if (stash.size() >= kMaxEarlySharesPerSender) stash.pop_front();
-    stash.emplace_back(id, share);
-    m_.early_stashed->inc();
-    m_.early_shares->set(static_cast<int64_t>(early_share_count()));
-    return;
-  }
-  PendingReveal& p = it->second;
-  if (p.valid_from.contains(from) || p.unverified.contains(from)) return;
-  p.unverified[from] = share;
-  try_reveal(id, ctx);
-}
-
-std::size_t Cp0ReplicaApp::early_share_count() const {
-  std::size_t count = 0;
-  for (const auto& [sender, stash] : early_shares_) count += stash.size();
-  return count;
-}
-
-void Cp0ReplicaApp::try_reveal(const RequestId& id, bft::ReplicaContext& ctx) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  PendingReveal& p = it->second;
-  // The reveal step only starts after the schedule step committed (we need
-  // the agreed ciphertext to verify shares against).
-  if (!p.delivered || p.revealed) return;
-
-  const Bytes& label = p.label;
-  const uint32_t t = backend_->threshold();
+void Cp0ReplicaApp::advance(const RequestId& id, Reveal& r,
+                            bft::ReplicaContext& ctx) {
+  if (r.revealed) return;
+  Tdh2State& s = tdh2(r);
+  const std::size_t need = std::max<std::size_t>(s.need, backend_->threshold());
   // Accumulate-then-flush: pending shares stay unverified until they can
   // possibly complete the threshold, then ALL of them go through one
   // randomized batch verification (amortized to one merged equation in the
   // real backend — DESIGN.md §4.3).  Waiting costs nothing: the combine
-  // cannot proceed before the threshold is reachable anyway.  The batch
-  // runs as a worker-pool job (DESIGN.md §12): the protocol thread charges
-  // and submits, the continuation adopts the verdicts back on this
-  // replica's executor.  Under the inline pool (simulator, threads=0) the
-  // continuation runs before offload() returns — identical sequencing to
-  // calling batch_verify_shares here.  While a flush is in flight, new
-  // shares keep accumulating in p.unverified for the next flush.
-  if (!p.verify_inflight && p.valid.size() < t && !p.unverified.empty() &&
-      p.valid.size() + p.unverified.size() >= t) {
+  // cannot proceed before the threshold is reachable anyway.  While a flush
+  // is on the pool, new shares keep accumulating for the next one.
+  if (!r.inflight && s.valid.size() < need && !s.unverified.empty() &&
+      s.valid.size() + s.unverified.size() >= need) {
     std::vector<NodeId> senders;
     std::vector<Bytes> wires;
-    senders.reserve(p.unverified.size());
-    wires.reserve(p.unverified.size());
-    for (auto& [sender, wire] : p.unverified) {
+    senders.reserve(s.unverified.size());
+    wires.reserve(s.unverified.size());
+    for (auto& [sender, wire] : s.unverified) {
       senders.push_back(sender);
       wires.push_back(std::move(wire));
     }
-    p.unverified.clear();
+    s.unverified.clear();
     // bytes = k·1024 by convention: per_byte prices the per-share cost.
     ctx.charge(Op::kTdh2BatchVerifyShare, wires.size() * 1024);
-    p.verify_inflight = true;
-    auto job = backend_->make_batch_share_verifier(p.ciphertext, label,
+    auto job = backend_->make_batch_share_verifier(s.ciphertext, s.label,
                                                    std::move(wires), ctx.rng());
-    ctx.offload([this, &ctx, id, senders = std::move(senders),
-                 job = std::move(job)]() mutable -> std::function<void()> {
-      // Pool thread: only the self-contained job runs here.
-      auto result = job();
+    offload(id, r, [this, &ctx, id, senders = std::move(senders),
+                    job = std::move(job)]() mutable -> Landing {
       return [this, &ctx, id, senders = std::move(senders),
-              result = std::move(result)]() mutable {
-        // Back on the protocol thread.  The pending entry can only have
-        // disappeared with the whole app (combine is gated on this very
-        // flush), but stay defensive.
-        auto it = pending_.find(id);
-        if (it == pending_.end()) return;
-        PendingReveal& p = it->second;
-        p.verify_inflight = false;
-        if (p.revealed) return;
+              result = job()](Reveal& r) mutable {
+        if (r.revealed) return;
+        Tdh2State& s = tdh2(r);
         bool any_rejected = false;
         for (std::size_t i = 0; i < result.shares.size(); ++i) {
           if (result.verdicts[i]) {
-            p.valid_from.insert(senders[i]);
-            p.valid.push_back(std::move(result.shares[i]));
+            s.valid.push_back(std::move(result.shares[i]));
             m_.shares_verified->inc();
           } else {
+            r.senders.erase(senders[i]);  // a resend is verified again
             m_.shares_rejected->inc();
             any_rejected = true;
           }
@@ -786,255 +675,52 @@ void Cp0ReplicaApp::try_reveal(const RequestId& id, bft::ReplicaContext& ctx) {
         if (any_rejected || result.fallback_splits > 0) {
           m_.batch_fallbacks->inc();
         }
-        // Re-enter: combine if the threshold is met, or flush the shares
-        // that accumulated while this batch was on the pool.
-        try_reveal(id, ctx);
+        // Combine if the threshold is met, or flush the shares that
+        // accumulated while this batch was on the pool.
+        advance(id, r, ctx);
       };
-    });
+    }, ctx);
     return;
   }
 
-  if (p.valid.size() < t) return;
+  if (s.valid.size() < need) return;
   // The Lagrange combination only touches the KEM, so batches pay the
   // single-envelope combine price; opening the per-payload boxes is then
   // charged as plain AEAD work.
-  ctx.charge(Op::kTdh2Combine,
-             p.count > 1 ? 1024 : p.ciphertext.size());
-  if (p.count > 1) ctx.charge(Op::kAeadOpen, p.ciphertext.size());
+  ctx.charge(Op::kTdh2Combine, r.count > 1 ? 1024 : s.ciphertext.size());
+  if (r.count > 1) ctx.charge(Op::kAeadOpen, s.ciphertext.size());
   // The ciphertext was verified before our own share was produced (see
-  // on_deliver), so combination skips the redundant proof check.
-  auto plaintexts = backend_->combine_batch_preverified(p.ciphertext,
-                                                        id.encode(), label,
-                                                        p.valid);
-  if (!plaintexts) return;  // need more shares (shouldn't happen: verified)
-  p.revealed = true;
-  p.plaintexts = std::move(*plaintexts);
+  // start), so combination skips the redundant proof check.
+  auto plaintexts = backend_->combine_batch_preverified(
+      s.ciphertext, id.encode(), s.label, s.valid);
+  if (!plaintexts) {
+    // Both backends combine t shares with distinct indices; a verified set
+    // can still fall short (a duplicated index), so wait for one more.
+    s.need = s.valid.size() + 1;
+    return;
+  }
   m_.combines->inc();
-  m_.reveal_ns->record(ctx.now() - p.delivered_at);
+  m_.reveal_ns->record(ctx.now() - r.delivered_at);
   // Pipelining depth: how many delivered slots are waiting behind this
   // reveal (their share collection ran concurrently with ours).
-  m_.inflight_slots->record(exec_queue_.size());
-  tracer_->record(p.client, p.client_seq, obs::Phase::kRevealed, ctx.now());
-  drain_execution(ctx);
+  m_.inflight_slots->record(exec_queue_size());
+  reveal(id, r, std::move(*plaintexts), ctx);
 }
 
-void Cp0ReplicaApp::drain_execution(bft::ReplicaContext& ctx) {
-  while (!exec_queue_.empty()) {
-    const RequestId id = exec_queue_.front();
-    auto it = pending_.find(id);
-    if (it == pending_.end()) {
-      exec_queue_.pop_front();
-      continue;
-    }
-    PendingReveal& p = it->second;
-    if (!p.revealed) return;  // total order: block on the oldest reveal
-    // Durable execution marker (DESIGN.md §13): logged before the service
-    // runs so a post-crash replay applies the operation from the record
-    // instead of re-running the reveal.  Plaintext logging is safe here —
-    // secrecy only holds until the schedule step commits, and this request
-    // was revealed by a correct quorum already.
-    {
-      Writer w;
-      id.write(w);
-      w.u32(p.count);
-      w.u32(static_cast<uint32_t>(p.plaintexts.size()));
-      for (const Bytes& pt : p.plaintexts) w.bytes(pt);
-      const Bytes rec = std::move(w).take();
-      ctx.wal_append(rec);
-    }
-    // Every payload in the envelope executes in its batch position; the
-    // reply frames the per-payload results for count > 1 and stays the raw
-    // result (bit-identical to the unbatched path) for count == 1.
-    Bytes result;
-    if (p.count <= 1 && p.plaintexts.size() == 1) {
-      ctx.charge(Op::kExecute, p.plaintexts[0].size());
-      result = service_->execute(p.client, p.plaintexts[0]);
-    } else {
-      std::vector<Bytes> results;
-      results.reserve(p.plaintexts.size());
-      for (const Bytes& plaintext : p.plaintexts) {
-        ctx.charge(Op::kExecute, plaintext.size());
-        results.push_back(service_->execute(p.client, plaintext));
-      }
-      result = bft::encode_op_batch(results);
-    }
-    ctx.send_reply(p.client, p.client_seq, std::move(result));
-    completed_.insert(id);
-    if (!p.own_share_wire.empty()) {
-      if (completed_shares_.size() >= kMaxCompletedShareCache) {
-        completed_shares_.erase(completed_shares_order_.front());
-        completed_shares_order_.pop_front();
-      }
-      completed_shares_order_.push_back(id);
-      completed_shares_.emplace(id, std::move(p.own_share_wire));
-    }
-    pending_.erase(it);
-    exec_queue_.pop_front();
-  }
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
+void Cp0ReplicaApp::write_scheme(Writer& w, const Reveal& r) const {
+  const auto& s = static_cast<const Tdh2State&>(*r.scheme);
+  w.bytes(s.ciphertext);
+  w.bytes(s.label);
+  w.u32(r.count);
 }
 
-// ---------------------------------------------------------------------------
-// Cp0ReplicaApp durability (DESIGN.md §13)
-
-namespace {
-constexpr uint32_t kCp0StateVersion = 1;
-}  // namespace
-
-Bytes Cp0ReplicaApp::serialize_state(bft::ReplicaContext& /*ctx*/) {
-  Writer w;
-  w.u32(kCp0StateVersion);
-  w.bytes(service_->serialize());
-  // Completed set, sorted for a deterministic blob (the map iteration order
-  // is not).  Transient reveal state — unverified shares, in-flight verify
-  // jobs, cached validate_request verdicts, early stashes — is deliberately
-  // dropped: the retry protocol rebuilds all of it.
-  std::vector<RequestId> completed(completed_.begin(), completed_.end());
-  std::sort(completed.begin(), completed.end());
-  w.u32(static_cast<uint32_t>(completed.size()));
-  for (const RequestId& id : completed) id.write(w);
-  // Completed own-share cache, FIFO order preserved so post-restore
-  // eviction continues where it left off.
-  w.u32(static_cast<uint32_t>(completed_shares_order_.size()));
-  for (const RequestId& id : completed_shares_order_) {
-    id.write(w);
-    auto it = completed_shares_.find(id);
-    w.bytes(it != completed_shares_.end() ? BytesView(it->second)
-                                          : BytesView{});
-  }
-  w.u32(static_cast<uint32_t>(exec_queue_.size()));
-  for (const RequestId& id : exec_queue_) id.write(w);
-  std::vector<RequestId> pend;
-  pend.reserve(pending_.size());
-  for (const auto& [id, p] : pending_) pend.push_back(id);
-  std::sort(pend.begin(), pend.end());
-  w.u32(static_cast<uint32_t>(pend.size()));
-  for (const RequestId& id : pend) {
-    const PendingReveal& p = pending_.at(id);
-    id.write(w);
-    w.bytes(p.ciphertext);
-    w.bytes(p.label);
-    w.u32(p.count);
-    w.u32(p.client);
-    w.u64(p.client_seq);
-    w.u8(p.delivered ? 1 : 0);
-    w.u8(p.revealed ? 1 : 0);
-    w.u32(static_cast<uint32_t>(p.plaintexts.size()));
-    for (const Bytes& pt : p.plaintexts) w.bytes(pt);
-    w.bytes(p.own_share_wire);
-  }
-  return std::move(w).take();
-}
-
-bool Cp0ReplicaApp::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
-  if (blob.empty()) return true;
-  bind_metrics(ctx);
-  Reader r(blob);
-  if (r.u32() != kCp0StateVersion) return false;
-  const Bytes service_blob = r.bytes();
-  std::unordered_set<RequestId> completed;
-  const uint32_t n_completed = r.u32();
-  for (uint32_t i = 0; i < n_completed && r.ok(); ++i) {
-    completed.insert(RequestId::read(r));
-  }
-  std::unordered_map<RequestId, Bytes> completed_shares;
-  std::deque<RequestId> completed_order;
-  const uint32_t n_shares = r.u32();
-  for (uint32_t i = 0; i < n_shares && r.ok(); ++i) {
-    const RequestId id = RequestId::read(r);
-    Bytes wire = r.bytes();
-    completed_order.push_back(id);
-    completed_shares.emplace(id, std::move(wire));
-  }
-  std::deque<RequestId> exec_queue;
-  const uint32_t n_queue = r.u32();
-  for (uint32_t i = 0; i < n_queue && r.ok(); ++i) {
-    exec_queue.push_back(RequestId::read(r));
-  }
-  std::unordered_map<RequestId, PendingReveal> pending;
-  const uint32_t n_pending = r.u32();
-  for (uint32_t i = 0; i < n_pending && r.ok(); ++i) {
-    const RequestId id = RequestId::read(r);
-    PendingReveal p;
-    p.ciphertext = r.bytes();
-    p.label = r.bytes();
-    p.count = r.u32();
-    p.client = r.u32();
-    p.client_seq = r.u64();
-    p.delivered = r.u8() != 0;
-    p.revealed = r.u8() != 0;
-    const uint32_t n_pt = r.u32();
-    for (uint32_t j = 0; j < n_pt && r.ok(); ++j) {
-      p.plaintexts.push_back(r.bytes());
-    }
-    p.own_share_wire = r.bytes();
-    p.delivered_at = ctx.now();
-    pending.emplace(id, std::move(p));
-  }
-  if (!r.ok() || !r.done()) return false;
-  if (!service_->restore(service_blob)) return false;
-  completed_ = std::move(completed);
-  completed_shares_ = std::move(completed_shares);
-  completed_shares_order_ = std::move(completed_order);
-  exec_queue_ = std::move(exec_queue);
-  pending_ = std::move(pending);
-  // Restart the reveal machinery for everything in flight: our own share
-  // counts again immediately; the retry timer re-broadcasts it and
-  // re-requests the peers' shares once the node is live.
-  for (auto& [id, p] : pending_) {
-    if (!p.delivered || p.revealed) continue;
-    if (!p.own_share_wire.empty()) {
-      p.valid_from.insert(ctx.id());
-      p.valid.push_back(p.own_share_wire);
-    }
-    arm_reveal_retry(id, 0, ctx);
-  }
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-  return true;
-}
-
-void Cp0ReplicaApp::on_wal_record(BytesView record, bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  Reader r(record);
-  const RequestId id = RequestId::read(r);
-  const uint32_t count = r.u32();
-  const uint32_t n = r.u32();
-  std::vector<Bytes> plaintexts;
-  for (uint32_t i = 0; i < n && r.ok(); ++i) plaintexts.push_back(r.bytes());
-  if (!r.ok() || !r.done() || plaintexts.size() != n) return;
-  // Pre-snapshot tails can survive a torn snapshot/truncate window; the
-  // completed set (restored from the snapshot) makes them no-ops.
-  if (completed_.contains(id)) return;
-  Bytes result;
-  if (count <= 1 && plaintexts.size() == 1) {
-    ctx.charge(Op::kExecute, plaintexts[0].size());
-    result = service_->execute(id.client, plaintexts[0]);
-  } else {
-    std::vector<Bytes> results;
-    results.reserve(plaintexts.size());
-    for (const Bytes& pt : plaintexts) {
-      ctx.charge(Op::kExecute, pt.size());
-      results.push_back(service_->execute(id.client, pt));
-    }
-    result = bft::encode_op_batch(results);
-  }
-  // The reply goes nowhere while the node is shielded during replay; a
-  // client still waiting will retransmit and hit the reply cache.
-  ctx.send_reply(id.client, id.seq, std::move(result));
-  completed_.insert(id);
-  if (auto it = pending_.find(id); it != pending_.end()) {
-    if (!it->second.own_share_wire.empty()) {
-      if (completed_shares_.size() >= kMaxCompletedShareCache) {
-        completed_shares_.erase(completed_shares_order_.front());
-        completed_shares_order_.pop_front();
-      }
-      completed_shares_order_.push_back(id);
-      completed_shares_.emplace(id, std::move(it->second.own_share_wire));
-    }
-    pending_.erase(it);
-  }
-  std::erase(exec_queue_, id);
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
+std::unique_ptr<RevealEngine::SchemeState> Cp0ReplicaApp::read_scheme(
+    Reader& rd, Reveal& r) {
+  auto s = std::make_unique<Tdh2State>();
+  s->ciphertext = rd.bytes();
+  s->label = rd.bytes();
+  r.count = rd.u32();
+  return s;
 }
 
 // ---------------------------------------------------------------------------

@@ -16,16 +16,11 @@
 // Latency benchmarks and tests use the real backend.
 #pragma once
 
-#include <deque>
 #include <map>
-#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "bft/app.h"
 #include "bft/client.h"
-#include "causal/id.h"
-#include "causal/service.h"
+#include "causal/reveal_engine.h"
 #include "threshenc/hybrid.h"
 
 namespace scab::causal {
@@ -255,110 +250,66 @@ class ModeledThresholdBackend : public Cp0Backend {
 
 // ---------------------------------------------------------------------------
 
-class Cp0ReplicaApp : public bft::ReplicaApp {
+/// CP0's reveal on the shared engine: its own share is its TDH2 decryption
+/// share, x is the plain share wire, and shares accumulate until they can
+/// reach the threshold, then go through one batch verification on the pool
+/// and combine on this replica's executor.
+class Cp0ReplicaApp : public RevealEngine {
  public:
   Cp0ReplicaApp(std::unique_ptr<Service> service,
                 std::unique_ptr<Cp0Backend> backend)
-      : service_(std::move(service)), backend_(std::move(backend)) {}
-
-  /// Table IV's fault model: this replica contributes garbage decryption
-  /// shares (it stays otherwise protocol-compliant).
-  void set_corrupt_shares(bool corrupt) { corrupt_shares_ = corrupt; }
+      : RevealEngine(std::move(service),
+                     {"cp0", Layout::kEnvelope, /*private_channels=*/false,
+                      /*client_deals=*/false}),
+        backend_(std::move(backend)) {}
 
   bool validate_request(bft::NodeId client, const bft::ClientRequestMsg& msg,
                         bft::ReplicaContext& ctx) override;
-  void on_deliver(uint64_t seq, const bft::Request& req,
-                  bft::ReplicaContext& ctx) override;
-  void on_causal_message(bft::NodeId from, BytesView body,
-                         bft::ReplicaContext& ctx) override;
 
-  // Durability (DESIGN.md §13): the snapshot blob carries the service state
-  // plus the reveal-layer state (completed set, pending reveals with their
-  // plaintexts/own shares); every execution also logs a WAL record so a
-  // post-crash replay re-applies the operation without re-running the
-  // reveal (the peers' shares are gone by then).
-  Bytes serialize_state(bft::ReplicaContext& ctx) override;
-  bool restore_state(BytesView blob, bft::ReplicaContext& ctx) override;
-  void on_wal_record(BytesView record, bft::ReplicaContext& ctx) override;
-
-  Service& service() { return *service_; }
-
-  /// Diagnostics/tests: number of reveal entries in flight (all correspond
-  /// to delivered requests) and of stashed pre-delivery shares.
-  std::size_t pending_count() const { return pending_.size(); }
-  std::size_t early_share_count() const;
-
-  /// Per-sender cap on shares stashed before their request is delivered; a
-  /// Byzantine replica naming made-up RequestIds can occupy at most this
-  /// much state per sender.
-  static constexpr std::size_t kMaxEarlySharesPerSender = 32;
   /// Cap on remembered validate_request verdicts awaiting delivery.
   static constexpr std::size_t kMaxValidatedCache = 1024;
-  /// Cap on own-share wires kept after execution so a restarted peer
-  /// re-collecting shares for old requests can still be answered.
-  static constexpr std::size_t kMaxCompletedShareCache = 1024;
-  /// Reveal-retry schedule: if a delivered request is still unrevealed
-  /// after base << min(attempt, 4), rebroadcast our share and re-request
-  /// everyone else's.  The base sits above the WAN reveal round-trip so the
-  /// happy path never retries.
-  static constexpr host::Time kRevealRetryBase = 500'000'000;  // 500 ms
-  static constexpr uint32_t kMaxRevealRetries = 8;
 
  private:
-  struct PendingReveal {
-    Bytes ciphertext;  // empty until the schedule step committed
-    Bytes label;       // full reveal label (id prefix || batch digest)
-    uint32_t count = 1;  // payloads inside the envelope
-    bft::NodeId client = 0;
-    uint64_t client_seq = 0;
+  struct Tdh2State : SchemeState {
+    Bytes ciphertext;
+    Bytes label;  // full reveal label (id prefix || batch digest)
     std::map<bft::NodeId, Bytes> unverified;  // sender -> share wire
-    std::set<bft::NodeId> valid_from;
     std::vector<Bytes> valid;
-    bool delivered = false;
-    bool revealed = false;
-    // A batch-share verification job is in flight on the worker pool; new
-    // shares keep accumulating in `unverified` and flush when it lands.
-    bool verify_inflight = false;
-    host::Time delivered_at = 0;  // reveal-round duration measurement
-    std::vector<Bytes> plaintexts;  // one per payload, execution order
-    Bytes own_share_wire;  // uncorrupted; serves re-requests
+    // Valid shares the next combine waits for: the threshold, raised past
+    // the valid count each time a combine fails.
+    std::size_t need = 0;
   };
+  static Tdh2State& tdh2(Reveal& r) {
+    return static_cast<Tdh2State&>(*r.scheme);
+  }
 
-  void try_reveal(const RequestId& id, bft::ReplicaContext& ctx);
-  void drain_execution(bft::ReplicaContext& ctx);
-  void answer_share_request(const RequestId& id, bft::NodeId from,
-                            bft::ReplicaContext& ctx);
-  void arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                        bft::ReplicaContext& ctx);
-  Bytes corrupted_if_faulty(const Bytes& wire) const;
-  // Resolves "cp0." instrument handles from the context's registry on first
-  // use (the app does not know its replica at construction time).
-  void bind_metrics(bft::ReplicaContext& ctx);
+  std::unique_ptr<SchemeState> admit(BytesView payload) override;
+  void start(const RequestId& id, Reveal& r, bft::ReplicaContext& ctx) override;
+  void resume(const RequestId& id, Reveal& r,
+              bft::ReplicaContext& ctx) override;
+  std::optional<Bytes> open_share(const RequestId& id, bft::NodeId from,
+                                  Bytes x, std::size_t frame_size,
+                                  bft::ReplicaContext& ctx) override;
+  Bytes share_frame(const RequestId& id, bft::NodeId to, BytesView wire,
+                    bft::ReplicaContext& ctx) override;
+  std::optional<uint32_t> share_index(BytesView wire) const override;
+  void take_share(const RequestId& id, Reveal& r, bft::NodeId from,
+                  Bytes wire, bool fresh, bft::ReplicaContext& ctx) override;
+  Bytes corrupt(BytesView wire) const override;
+  void write_scheme(Writer& w, const Reveal& r) const override;
+  std::unique_ptr<SchemeState> read_scheme(Reader& rd, Reveal& r) override;
+  void bind_scheme_metrics(obs::MetricsRegistry& registry) override;
 
-  std::unique_ptr<Service> service_;
+  /// Flushes the accumulated shares into a batch verification once they can
+  /// reach the threshold, and combines once enough are valid.
+  void advance(const RequestId& id, Reveal& r, bft::ReplicaContext& ctx);
+
   std::unique_ptr<Cp0Backend> backend_;
-  bool corrupt_shares_ = false;
-
-  std::unordered_map<RequestId, PendingReveal> pending_;
-  std::unordered_set<RequestId> completed_;
-  // Execution queue: requests execute in delivery order, each blocking on
-  // its reveal (the CKPS schedule/reveal alternation).
-  std::deque<RequestId> exec_queue_;
   // RequestIds this replica verified at validate_request time (payload
-  // digest), letting on_deliver take the preverified reveal path when PBFT
+  // digest), letting the reveal take the preverified path when PBFT
   // delivers the same bytes.  Bounded FIFO-ish: entries are erased at
   // delivery; overflow evicts arbitrarily (worst case: one extra verify).
   std::unordered_map<RequestId, Bytes> validated_;
-  // Shares that arrived before their request was delivered, bounded per
-  // sender (kMaxEarlySharesPerSender) so Byzantine peers cannot grow
-  // protocol state with shares for requests that never existed.
-  std::map<bft::NodeId, std::deque<std::pair<RequestId, Bytes>>> early_shares_;
-  // Own-share wires of executed requests (bounded FIFO): a replica that
-  // crashed and restarted re-delivers old requests with empty reveal state
-  // and re-requests shares its peers already consumed; answering from this
-  // cache is what lets it catch up past them.
-  std::unordered_map<RequestId, Bytes> completed_shares_;
-  std::deque<RequestId> completed_shares_order_;
 
   struct {
     obs::Counter* ct_verified = nullptr;
@@ -366,25 +317,16 @@ class Cp0ReplicaApp : public bft::ReplicaApp {
     obs::Counter* shares_verified = nullptr;
     obs::Counter* shares_rejected = nullptr;
     obs::Counter* combines = nullptr;
-    obs::Counter* early_stashed = nullptr;
     // Batches that needed the fallback (a bisection split or a rejected
     // share): a Byzantine share inside a batch always surfaces here.
     obs::Counter* batch_fallbacks = nullptr;
-    obs::Counter* reveal_retries = nullptr;
-    obs::Counter* share_rerequests_answered = nullptr;
-    // Shares arriving after their request already executed: dropped on the
-    // floor (bounded), never re-queued into pending_.
-    obs::Counter* late_shares_dropped = nullptr;
     obs::Histogram* batch_size = nullptr;  // shares per batch flush
     obs::Histogram* envelope_payloads = nullptr;  // payloads per envelope
     obs::Histogram* reveal_ns = nullptr;  // delivery -> plaintext recovered
     // Reveal-pipelining depth: delivered-but-unexecuted slots observed each
     // time a reveal completes (collection for slot s+1 overlapping s).
     obs::Histogram* inflight_slots = nullptr;
-    obs::Gauge* pending = nullptr;
-    obs::Gauge* early_shares = nullptr;
   } m_;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 class Cp0ClientProtocol : public bft::ClientProtocol {

@@ -4,10 +4,11 @@
 // sends replica i the share S[i] over an authenticated AND private channel
 // (AEAD); the BFT protocol orders only the public part (ID plus, for CP2,
 // the commitment c).  When a replica delivers the identifier it starts the
-// reveal: it broadcasts its share to the other replicas (again over private
+// reveal: it sends its share to the other replicas (again over private
 // channels), feeds arriving shares to the incremental ARSS reconstructor,
 // and executes + replies once the secret is recovered.  Execution is
-// blocked in delivery order, exactly like CP0's reveal.
+// blocked in delivery order, exactly like CP0's reveal (both run on the
+// shared RevealEngine).
 //
 //   CP2 = ARSS1: shares carry a commitment tag; the commitment is *agreed*
 //         in the schedule step, so foreign/forged share sets are rejected
@@ -19,141 +20,102 @@
 // client can block the service but can never break causality.
 #pragma once
 
-#include <deque>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 #include <vector>
 
-#include "bft/app.h"
 #include "bft/client.h"
-#include "causal/id.h"
-#include "causal/service.h"
+#include "causal/reveal_engine.h"
+#include "crypto/commitment.h"
 #include "secretshare/arss.h"
 
 namespace scab::causal {
 
-/// Reveal-retry / share-re-request tuning shared by CP2 and CP3 (CP0 keeps
-/// mirrored constants): a delivered-but-unrevealed request rebroadcasts its
-/// share and re-requests the peers' after base << min(attempt, 4), capped at
-/// kCpMaxRevealRetries attempts.  The base sits above the WAN reveal
-/// round-trip so the happy path never retries.
-inline constexpr host::Time kCpRevealRetryBase = 500'000'000;  // 500 ms
-inline constexpr uint32_t kCpMaxRevealRetries = 8;
-/// Bounded cache of own-share wires for executed requests, kept to answer a
-/// restarted peer re-collecting shares for requests we already finished.
-inline constexpr std::size_t kCpMaxCompletedShareCache = 1024;
-/// Per-sender cap on shares stashed before their request is delivered
-/// (mirrors CP0's kMaxEarlySharesPerSender): reveal state is created only at
-/// BFT delivery, so a Byzantine peer naming made-up RequestIds can occupy at
-/// most this much memory per sender instead of growing `pending_` forever.
-inline constexpr std::size_t kCpMaxEarlySharesPerSender = 32;
-
-// ---------------------------------------------------------------------------
-// CP2
-
-class Cp2ReplicaApp : public bft::ReplicaApp {
+/// The replica side of CP2 (ARSS1, with the commitment scheme) and CP3
+/// (ARSS2) on the shared engine: the client deals this replica its share,
+/// x is an AEAD box per recipient, and shares feed the reconstructor on the
+/// worker pool.
+class ArssReplicaApp : public RevealEngine {
  public:
-  Cp2ReplicaApp(std::unique_ptr<Service> service, crypto::Commitment commitment)
-      : service_(std::move(service)), commitment_(std::move(commitment)) {}
-
-  /// Table IV fault model: broadcast corrupted shares to the other replicas.
-  void set_corrupt_shares(bool corrupt) { corrupt_shares_ = corrupt; }
-
   bool validate_request(bft::NodeId client, const bft::ClientRequestMsg& msg,
                         bft::ReplicaContext& ctx) override;
-  void on_deliver(uint64_t seq, const bft::Request& req,
-                  bft::ReplicaContext& ctx) override;
-  void on_causal_message(bft::NodeId from, BytesView body,
-                         bft::ReplicaContext& ctx) override;
 
-  // Durability (DESIGN.md §13): reveal plaintexts come from the peers'
-  // shares, which a replay cannot re-collect — every execution logs a WAL
-  // record (id + plaintext), and the snapshot carries the reveal state.
-  Bytes serialize_state(bft::ReplicaContext& ctx) override;
-  bool restore_state(BytesView blob, bft::ReplicaContext& ctx) override;
-  void on_wal_record(BytesView record, bft::ReplicaContext& ctx) override;
-
-  Service& service() { return *service_; }
-  /// Total combination-search attempts across recoveries (bench metric).
-  uint64_t recovery_attempts() const { return recovery_attempts_; }
-  /// Diagnostics/tests: reveal entries in flight (all correspond to
-  /// delivered requests) and pre-delivery stashed shares.
-  std::size_t pending_count() const { return pending_.size(); }
-  std::size_t early_share_count() const;
+ protected:
+  ArssReplicaApp(std::unique_ptr<Service> service, const char* prefix,
+                 std::optional<crypto::Commitment> commitment,
+                 secretshare::Arss2Mode mode);
 
  private:
-  struct Pending {
-    Bytes agreed_commitment;
-    bft::NodeId client = 0;
-    uint64_t client_seq = 0;
-    bool delivered = false;
-    bool revealed = false;
-    // A feed batch is running on the worker pool; the reconstructor travels
-    // with the job (reconstructor == nullptr while set), and newly arriving
-    // shares queue into `buffered` until the continuation re-attaches it.
-    bool reveal_inflight = false;
-    Bytes plaintext;
-    std::optional<secretshare::Arss1Share> own_share;
-    // Shares awaiting a feed: pre-delivery arrivals and anything received
-    // while a feed batch was in flight.
+  struct Recovery;
+  struct ArssState : SchemeState {
+    Bytes commitment;  // CP2: agreed in the schedule step
+    // Shares awaiting a feed: adopted from the stash before the reveal
+    // starts, and anything received while a feed was on the pool.
     std::vector<secretshare::Arss1Share> buffered;
-    std::unordered_set<bft::NodeId> seen_senders;
-    // shared_ptr (not unique_ptr): the pool job closure must stay copyable
-    // for std::function while owning the reconstructor for the batch.
-    std::shared_ptr<secretshare::Arss1Reconstructor> reconstructor;
+    // Travels with the pool job (null meanwhile); shared_ptr keeps the job
+    // closure copyable for std::function.
+    std::shared_ptr<Recovery> recovery;
   };
-
+  static ArssState& arss(Reveal& r) {
+    return static_cast<ArssState&>(*r.scheme);
+  }
+  bool arss1() const { return commitment_.has_value(); }
+  /// Parses a share wire; an ARSS2 share gets an empty commitment.
+  std::optional<secretshare::Arss1Share> parse_share(BytesView wire) const;
   /// Feeds a batch of shares to the reconstructor ON THE WORKER POOL; the
-  /// continuation charges per-attempt costs and applies the reveal.
-  void feed_shares_async(const RequestId& id, Pending& p,
-                         std::vector<secretshare::Arss1Share> batch,
-                         bft::ReplicaContext& ctx);
-  void start_reveal(const RequestId& id, Pending& p, bft::ReplicaContext& ctx);
-  void drain_execution(bft::ReplicaContext& ctx);
-  void answer_share_request(const RequestId& id, bft::NodeId from,
-                            bft::ReplicaContext& ctx);
-  void arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                        bft::ReplicaContext& ctx);
-  void stash_early_share(bft::NodeId from, const RequestId& id, Bytes wire);
-  void adopt_early_shares(const RequestId& id, Pending& p,
-                          bft::ReplicaContext& ctx);
-  void bind_metrics(bft::ReplicaContext& ctx);
+  /// landing charges per-attempt costs and applies the reveal.
+  void feed(const RequestId& id, Reveal& r,
+            std::vector<secretshare::Arss1Share> batch,
+            bft::ReplicaContext& ctx);
 
-  std::unique_ptr<Service> service_;
-  crypto::Commitment commitment_;
-  bool corrupt_shares_ = false;
+  std::unique_ptr<SchemeState> admit(BytesView payload) override;
+  void start(const RequestId& id, Reveal& r, bft::ReplicaContext& ctx) override;
+  void resume(const RequestId& id, Reveal& r,
+              bft::ReplicaContext& ctx) override {
+    start(id, r, ctx);
+  }
+  std::optional<Bytes> open_share(const RequestId& id, bft::NodeId from,
+                                  Bytes x, std::size_t frame_size,
+                                  bft::ReplicaContext& ctx) override;
+  Bytes share_frame(const RequestId& id, bft::NodeId to, BytesView wire,
+                    bft::ReplicaContext& ctx) override;
+  std::optional<uint32_t> share_index(BytesView wire) const override;
+  void take_share(const RequestId& id, Reveal& r, bft::NodeId from,
+                  Bytes wire, bool fresh, bft::ReplicaContext& ctx) override;
+  Bytes corrupt(BytesView wire) const override;
+  void write_scheme(Writer& w, const Reveal& r) const override;
+  std::unique_ptr<SchemeState> read_scheme(Reader& rd, Reveal& r) override;
+  void bind_scheme_metrics(obs::MetricsRegistry& registry) override;
 
-  // Reveal state, created only when the BFT layer delivers the request.
-  std::unordered_map<RequestId, Pending> pending_;
-  // Shares that arrived before their request was delivered, bounded per
-  // sender (kCpMaxEarlySharesPerSender): never keyed protocol state by an
-  // unauthenticated RequestId.
-  std::map<bft::NodeId, std::deque<std::pair<RequestId, Bytes>>> early_shares_;
-  std::unordered_set<RequestId> completed_;
-  std::deque<RequestId> exec_queue_;
-  // Own-share wires of executed requests (bounded FIFO; see
-  // kCpMaxCompletedShareCache): serves re-requests from restarted peers.
-  std::unordered_map<RequestId, Bytes> completed_own_shares_;
-  std::deque<RequestId> completed_own_shares_order_;
-  uint64_t recovery_attempts_ = 0;
+  const std::optional<crypto::Commitment> commitment_;  // CP2 only
+  const secretshare::Arss2Mode mode_;                   // CP3 only
 
   struct {
     obs::Counter* reconstructions = nullptr;
     obs::Counter* recovery_attempts = nullptr;
-    obs::Counter* reveal_retries = nullptr;
-    obs::Counter* share_rerequests_answered = nullptr;
-    obs::Counter* early_stashed = nullptr;
-    obs::Gauge* pending = nullptr;
-    obs::Gauge* early_shares = nullptr;
     obs::Histogram* batch_size = nullptr;  // shares fed per flush
   } m_;
-  obs::Tracer* tracer_ = nullptr;
 };
 
-class Cp2ClientProtocol : public bft::ClientProtocol {
+class Cp2ReplicaApp : public ArssReplicaApp {
  public:
-  explicit Cp2ClientProtocol(crypto::Commitment commitment)
+  Cp2ReplicaApp(std::unique_ptr<Service> service, crypto::Commitment commitment)
+      : ArssReplicaApp(std::move(service), "cp2", std::move(commitment),
+                       secretshare::Arss2Mode::kFast) {}
+};
+
+class Cp3ReplicaApp : public ArssReplicaApp {
+ public:
+  explicit Cp3ReplicaApp(
+      std::unique_ptr<Service> service,
+      secretshare::Arss2Mode mode = secretshare::Arss2Mode::kFast)
+      : ArssReplicaApp(std::move(service), "cp3", std::nullopt, mode) {}
+};
+
+/// The client side of CP2 (ARSS1 under `commitment`) and CP3 (ARSS2).
+class ArssClientProtocol : public bft::ClientProtocol {
+ public:
+  explicit ArssClientProtocol(
+      std::optional<crypto::Commitment> commitment = std::nullopt)
       : commitment_(std::move(commitment)) {}
 
   void start(uint64_t client_seq, BytesView op, bft::ClientContext& ctx) override;
@@ -164,133 +126,12 @@ class Cp2ClientProtocol : public bft::ClientProtocol {
  private:
   void send_all(bft::ClientContext& ctx);
 
-  crypto::Commitment commitment_;
+  std::optional<crypto::Commitment> commitment_;
   uint64_t seq_ = 0;
   RequestId id_;
-  Bytes schedule_payload_;
+  Bytes schedule_payload_;  // CP2: bytes(c); CP3: empty (the ID alone)
   std::vector<Bytes> share_wires_;  // per replica
   bft::ReplyQuorum quorum_;
 };
-
-// ---------------------------------------------------------------------------
-// CP3
-
-class Cp3ReplicaApp : public bft::ReplicaApp {
- public:
-  Cp3ReplicaApp(std::unique_ptr<Service> service,
-                secretshare::Arss2Mode mode = secretshare::Arss2Mode::kFast)
-      : service_(std::move(service)), mode_(mode) {}
-
-  void set_corrupt_shares(bool corrupt) { corrupt_shares_ = corrupt; }
-
-  bool validate_request(bft::NodeId client, const bft::ClientRequestMsg& msg,
-                        bft::ReplicaContext& ctx) override;
-  void on_deliver(uint64_t seq, const bft::Request& req,
-                  bft::ReplicaContext& ctx) override;
-  void on_causal_message(bft::NodeId from, BytesView body,
-                         bft::ReplicaContext& ctx) override;
-
-  // Durability (DESIGN.md §13): same model as CP2 — execution records in
-  // the WAL, reveal state in the snapshot.
-  Bytes serialize_state(bft::ReplicaContext& ctx) override;
-  bool restore_state(BytesView blob, bft::ReplicaContext& ctx) override;
-  void on_wal_record(BytesView record, bft::ReplicaContext& ctx) override;
-
-  Service& service() { return *service_; }
-  uint64_t recovery_attempts() const { return recovery_attempts_; }
-  /// Diagnostics/tests: reveal entries in flight (all correspond to
-  /// delivered requests) and pre-delivery stashed shares.
-  std::size_t pending_count() const { return pending_.size(); }
-  std::size_t early_share_count() const;
-
- private:
-  struct Pending {
-    bft::NodeId client = 0;
-    uint64_t client_seq = 0;
-    bool delivered = false;
-    bool revealed = false;
-    // See Cp2ReplicaApp::Pending — reconstructor travels with the pool job.
-    bool reveal_inflight = false;
-    Bytes plaintext;
-    std::optional<secretshare::ShamirShare> own_share;
-    std::vector<secretshare::ShamirShare> buffered;
-    std::unordered_set<bft::NodeId> seen_senders;
-    std::shared_ptr<secretshare::Arss2Reconstructor> reconstructor;
-  };
-
-  /// Feeds a batch of shares to the reconstructor ON THE WORKER POOL; the
-  /// continuation charges per-attempt costs and applies the reveal.
-  void feed_shares_async(const RequestId& id, Pending& p,
-                         std::vector<secretshare::ShamirShare> batch,
-                         bft::ReplicaContext& ctx);
-  void start_reveal(const RequestId& id, Pending& p, bft::ReplicaContext& ctx);
-  void drain_execution(bft::ReplicaContext& ctx);
-  void answer_share_request(const RequestId& id, bft::NodeId from,
-                            bft::ReplicaContext& ctx);
-  void arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                        bft::ReplicaContext& ctx);
-  void stash_early_share(bft::NodeId from, const RequestId& id, Bytes wire);
-  void adopt_early_shares(const RequestId& id, Pending& p,
-                          bft::ReplicaContext& ctx);
-  void bind_metrics(bft::ReplicaContext& ctx);
-
-  std::unique_ptr<Service> service_;
-  secretshare::Arss2Mode mode_;
-  bool corrupt_shares_ = false;
-
-  // Reveal state, created only when the BFT layer delivers the request.
-  std::unordered_map<RequestId, Pending> pending_;
-  // Shares that arrived before their request was delivered, bounded per
-  // sender (kCpMaxEarlySharesPerSender): never keyed protocol state by an
-  // unauthenticated RequestId.
-  std::map<bft::NodeId, std::deque<std::pair<RequestId, Bytes>>> early_shares_;
-  std::unordered_set<RequestId> completed_;
-  std::deque<RequestId> exec_queue_;
-  // Own-share wires of executed requests (bounded FIFO; see
-  // kCpMaxCompletedShareCache): serves re-requests from restarted peers.
-  std::unordered_map<RequestId, Bytes> completed_own_shares_;
-  std::deque<RequestId> completed_own_shares_order_;
-  uint64_t recovery_attempts_ = 0;
-
-  struct {
-    obs::Counter* reconstructions = nullptr;
-    obs::Counter* recovery_attempts = nullptr;
-    obs::Counter* reveal_retries = nullptr;
-    obs::Counter* share_rerequests_answered = nullptr;
-    obs::Counter* early_stashed = nullptr;
-    obs::Gauge* pending = nullptr;
-    obs::Gauge* early_shares = nullptr;
-    obs::Histogram* batch_size = nullptr;  // shares fed per flush
-  } m_;
-  obs::Tracer* tracer_ = nullptr;
-};
-
-class Cp3ClientProtocol : public bft::ClientProtocol {
- public:
-  void start(uint64_t client_seq, BytesView op, bft::ClientContext& ctx) override;
-  void on_reply(bft::NodeId replica, const bft::ReplyMsg& reply,
-                bft::ClientContext& ctx) override;
-  void on_retransmit(bft::ClientContext& ctx) override;
-
- private:
-  void send_all(bft::ClientContext& ctx);
-
-  uint64_t seq_ = 0;
-  RequestId id_;
-  std::vector<Bytes> share_wires_;
-  bft::ReplyQuorum quorum_;
-};
-
-// --- shared helpers (also used by tests) ---
-
-/// Seals a share wire for the private channel a -> b, bound to the ID.
-Bytes seal_share(const bft::KeyRing& keys, bft::NodeId from, bft::NodeId to,
-                 const RequestId& id, BytesView share_wire, crypto::Drbg& rng);
-
-/// Opens a sealed share envelope (returns ID and share wire).
-std::optional<std::pair<RequestId, Bytes>> open_share(const bft::KeyRing& keys,
-                                                      bft::NodeId self,
-                                                      bft::NodeId from,
-                                                      BytesView body);
 
 }  // namespace scab::causal

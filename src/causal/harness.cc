@@ -8,9 +8,8 @@
 #include "bft/client.h"
 #include "bft/keyring.h"
 #include "bft/replica.h"
-#include "causal/cp0.h"
-#include "causal/cp23.h"
 #include "causal/plain.h"
+#include "causal/reveal_engine.h"
 #include "causal/stack.h"
 #include "host/storage.h"
 #include "rt/runtime.h"
@@ -275,13 +274,8 @@ void Cluster::restart_replica(uint32_t i) {
 }
 
 void Cluster::corrupt_replica_shares(uint32_t i) {
-  bft::ReplicaApp* app = replica_apps_.at(i).get();
-  if (auto* cp0 = dynamic_cast<Cp0ReplicaApp*>(app)) {
-    cp0->set_corrupt_shares(true);
-  } else if (auto* cp2 = dynamic_cast<Cp2ReplicaApp*>(app)) {
-    cp2->set_corrupt_shares(true);
-  } else if (auto* cp3 = dynamic_cast<Cp3ReplicaApp*>(app)) {
-    cp3->set_corrupt_shares(true);
+  if (auto* app = dynamic_cast<RevealEngine*>(replica_apps_.at(i).get())) {
+    app->set_corrupt_shares(true);
   }
 }
 

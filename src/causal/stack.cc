@@ -121,10 +121,10 @@ std::unique_ptr<bft::ClientProtocol> make_client_protocol(
       return std::make_unique<Cp1ClientProtocol>(
           crypto::NmCadCommitment(ctx.material->nmcad_key));
     case Protocol::kCp2:
-      return std::make_unique<Cp2ClientProtocol>(
+      return std::make_unique<ArssClientProtocol>(
           crypto::Commitment(ctx.material->commitment_key));
     case Protocol::kCp3:
-      return std::make_unique<Cp3ClientProtocol>();
+      return std::make_unique<ArssClientProtocol>();
   }
   return nullptr;
 }

@@ -253,49 +253,55 @@ TEST(BatchingReplica, FallbackTimerDrainsQueuedRequestsWithoutClientRetries) {
 // Shares that arrive after a reveal completed are dropped on the floor and
 // must never resurrect reveal state for a finished request.
 TEST(BatchingReplica, LateSharesAreDroppedWithoutResurrectingRevealState) {
-  ClusterOptions opts;
-  opts.protocol = Protocol::kCp0;
-  opts.bft = bft::BftConfig::for_f(1);
-  opts.num_clients = 1;
-  opts.seed = 19;
-  Cluster cluster(opts);
+  for (Protocol protocol : {Protocol::kCp0, Protocol::kCp2, Protocol::kCp3}) {
+    SCOPED_TRACE(causal::protocol_name(protocol));
+    ClusterOptions opts;
+    opts.protocol = protocol;
+    opts.bft = bft::BftConfig::for_f(1);
+    opts.num_clients = 1;
+    opts.seed = 19;
+    Cluster cluster(opts);
 
-  // Replica 3's outbound traffic lags 50 ms: replicas 0-2 finish each
-  // reveal among themselves (f + 1 = 2 shares suffice), then 3's share
-  // lands on completed requests.
-  for (uint32_t r = 0; r < 3; ++r) {
-    cluster.faults().delay(3, r, 50 * host::kMillisecond);
-  }
-  constexpr int kOps = 12;
-  for (int i = 0; i < kOps; ++i) {
-    ASSERT_TRUE(
-        cluster.run_one(0, to_bytes("op-" + std::to_string(i))).has_value())
-        << i;
-  }
-  // Let the delayed shares land.
-  const host::Time settle = cluster.sim().now() + 1 * host::kSecond;
-  cluster.sim().run_while([&] { return cluster.sim().now() >= settle; });
+    // Replica 3's outbound traffic lags 50 ms: replicas 0-2 finish each
+    // reveal among themselves, then 3's share lands on completed requests.
+    for (uint32_t r = 0; r < 3; ++r) {
+      cluster.faults().delay(3, r, 50 * host::kMillisecond);
+    }
+    constexpr int kOps = 12;
+    for (int i = 0; i < kOps; ++i) {
+      ASSERT_TRUE(
+          cluster.run_one(0, to_bytes("op-" + std::to_string(i))).has_value())
+          << i;
+    }
+    // Let the delayed shares land.
+    const host::Time settle = cluster.sim().now() + 1 * host::kSecond;
+    cluster.sim().run_while([&] { return cluster.sim().now() >= settle; });
 
-  uint64_t dropped = 0;
-  for (uint32_t r = 0; r < 3; ++r) {
-    dropped +=
-        cluster.replica_metrics(r).counter("cp0.late_shares_dropped").value();
-  }
-  EXPECT_GT(dropped, 0u) << "the delay never produced a late share";
-  for (uint32_t r = 0; r < cluster.n(); ++r) {
-    const auto& app =
-        dynamic_cast<causal::Cp0ReplicaApp&>(cluster.replica_app(r));
-    EXPECT_EQ(app.pending_count(), 0u)
-        << "replica " << r << " resurrected reveal state for a finished op";
+    const std::string counter =
+        std::string(protocol == Protocol::kCp0   ? "cp0"
+                    : protocol == Protocol::kCp2 ? "cp2"
+                                                 : "cp3") +
+        ".late_shares_dropped";
+    uint64_t dropped = 0;
+    for (uint32_t r = 0; r < 3; ++r) {
+      dropped += cluster.replica_metrics(r).counter(counter).value();
+    }
+    EXPECT_GT(dropped, 0u) << "the delay never produced a late share";
+    for (uint32_t r = 0; r < cluster.n(); ++r) {
+      const auto& app =
+          dynamic_cast<causal::RevealEngine&>(cluster.replica_app(r));
+      EXPECT_EQ(app.pending_count(), 0u)
+          << "replica " << r << " resurrected reveal state for a finished op";
+    }
   }
 }
 
-// CP2/CP3 stash shares that arrive before the commitment delivers in a
-// bounded per-sender FIFO (kCpMaxEarlySharesPerSender).  Flooding one
-// replica with shares for requests it cannot deliver yet (its BFT traffic
-// is delayed) must leave the stash bounded — and the cluster must still
-// converge once the links heal, exercising the share re-request recovery
-// for the evicted entries.
+// The reveal engine stashes shares that arrive before their request
+// delivers in a bounded per-sender FIFO (kMaxEarlySharesPerSender).
+// Flooding one replica with shares for requests it cannot deliver yet (its
+// BFT traffic is delayed) must leave the stash bounded — and the cluster
+// must still converge once the links heal, exercising the share re-request
+// recovery for the evicted entries.
 class BatchingReplicaEarlyShares
     : public ::testing::TestWithParam<Protocol> {};
 
@@ -309,49 +315,47 @@ TEST_P(BatchingReplicaEarlyShares, StashStaysBoundedUnderFlood) {
   Cluster cluster(opts);
 
   auto early_count = [&](uint32_t r) -> std::size_t {
-    if (GetParam() == Protocol::kCp2) {
-      return dynamic_cast<causal::Cp2ReplicaApp&>(cluster.replica_app(r))
-          .early_share_count();
-    }
-    return dynamic_cast<causal::Cp3ReplicaApp&>(cluster.replica_app(r))
+    return dynamic_cast<causal::RevealEngine&>(cluster.replica_app(r))
         .early_share_count();
   };
 
-  // Replica 3 hears the client's shares immediately but every replica's
-  // traffic towards it (pre-prepares included) lags a full second, so for
-  // the whole burst it stashes shares for undelivered requests.
-  for (uint32_t r = 0; r < 3; ++r) {
+  // Replica 3 hears replica 2 (and, in CP2/CP3, the client's dealing)
+  // immediately, but the traffic of replicas 0 and 1 towards it (the
+  // primary's pre-prepares included) lags a full second, so for the whole
+  // burst it stashes shares for undelivered requests.
+  for (uint32_t r = 0; r < 2; ++r) {
     cluster.faults().delay(r, 3, 1 * host::kSecond);
   }
-  constexpr int kOps = 40;  // > kCpMaxEarlySharesPerSender: forces eviction
-  static_assert(kOps > static_cast<int>(causal::kCpMaxEarlySharesPerSender));
+  constexpr int kOps = 40;  // > kMaxEarlySharesPerSender: forces eviction
+  constexpr std::size_t kCap = causal::RevealEngine::kMaxEarlySharesPerSender;
+  static_assert(kOps > static_cast<int>(kCap));
   for (int i = 0; i < kOps; ++i) {
     ASSERT_TRUE(
         cluster.run_one(0, to_bytes("op-" + std::to_string(i))).has_value())
         << i;
   }
 
-  // The client alone pushed kOps shares at replica 3; whatever the other
-  // senders contributed, no per-sender FIFO may exceed the cap.  n + 1
-  // distinct senders (replicas + the client) bound the total.
-  const std::size_t cap =
-      causal::kCpMaxEarlySharesPerSender * (cluster.n() + 1);
+  // Whatever the senders contributed, no per-sender FIFO may exceed the
+  // cap: n + 1 distinct senders (replicas + the client) bound the total.
+  const std::size_t cap = kCap * (cluster.n() + 1);
   EXPECT_GT(early_count(3), 0u) << "the flood never stashed an early share";
   EXPECT_LE(early_count(3), cap);
-  const char* gauge = GetParam() == Protocol::kCp2 ? "cp2.early_shares"
-                                                   : "cp3.early_shares";
-  EXPECT_LE(static_cast<std::size_t>(
-                cluster.replica_metrics(3).gauge(gauge).max()),
-            cap)
+  const std::string prefix = GetParam() == Protocol::kCp0   ? "cp0"
+                             : GetParam() == Protocol::kCp2 ? "cp2"
+                                                            : "cp3";
+  const obs::Gauge& stashed =
+      cluster.replica_metrics(3).gauge(prefix + ".early_shares");
+  EXPECT_LE(static_cast<std::size_t>(stashed.max()), cap)
       << "the stash exceeded its bound at some point during the flood";
 
   // Heal and let replica 3 catch up: evicted shares force the reveal
-  // re-request path, so convergence proves eviction is recoverable.
+  // re-request path, so convergence — every request delivered AND
+  // revealed — proves eviction is recoverable.
   cluster.faults().clear_delays();
   auto converged = [&] {
     for (uint32_t r = 0; r < cluster.n(); ++r) {
-      if (cluster.replica_executed(r) <
-          static_cast<uint64_t>(kOps)) {
+      if (cluster.replica_executed(r) < static_cast<uint64_t>(kOps) ||
+          cluster.replica_metrics(r).gauge_value(prefix + ".pending") != 0) {
         return false;
       }
     }
@@ -364,7 +368,8 @@ TEST_P(BatchingReplicaEarlyShares, StashStaysBoundedUnderFlood) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, BatchingReplicaEarlyShares,
-                         ::testing::Values(Protocol::kCp2, Protocol::kCp3),
+                         ::testing::Values(Protocol::kCp0, Protocol::kCp2,
+                                           Protocol::kCp3),
                          [](const auto& info) {
                            return std::string(
                                causal::protocol_name(info.param));

@@ -10,6 +10,8 @@
 #include "causal/cp0.h"
 #include "causal/cp1.h"
 #include "causal/harness.h"
+#include "crypto/aead.h"
+#include "secretshare/arss.h"
 
 namespace scab::causal {
 namespace {
@@ -247,7 +249,7 @@ TEST(Byzantine, Cp0BogusShareFloodCannotGrowState) {
     // No reveal state was created for undelivered ids, and the stash is
     // capped per sender regardless of flood volume.
     EXPECT_EQ(app.pending_count(), 0u) << "replica " << i;
-    EXPECT_LE(app.early_share_count(), Cp0ReplicaApp::kMaxEarlySharesPerSender)
+    EXPECT_LE(app.early_share_count(), RevealEngine::kMaxEarlySharesPerSender)
         << "replica " << i;
   }
 
@@ -280,6 +282,105 @@ TEST(Byzantine, Cp0EarlyShareStashStillServesCorrectPeers) {
     EXPECT_EQ(app.early_share_count(), 0u) << "replica " << i;
     EXPECT_EQ(app.pending_count(), 0u) << "replica " << i;
   }
+}
+
+// Runs `ops` closed-loop KV puts from client 0, then lets the cluster run
+// 20 more seconds so every replica can finish its reveals.
+void run_puts_and_settle(Cluster& cluster, int ops) {
+  auto& client = cluster.client(0);
+  client.run_closed_loop(
+      [](uint64_t i) {
+        return apps::KvStore::put("k" + std::to_string(i), to_bytes("v"));
+      },
+      static_cast<uint64_t>(ops));
+  const host::Time stop_at = cluster.sim().now() + 60 * kSecond;
+  cluster.sim().run_while([&] {
+    return client.completed_ops() >= static_cast<uint64_t>(ops) ||
+           cluster.sim().now() >= stop_at;
+  });
+  ASSERT_EQ(client.completed_ops(), static_cast<uint64_t>(ops));
+  cluster.sim().run_until(cluster.sim().now() + 20 * kSecond);
+}
+
+// Sends `share` from `attacker` to `victim` as its share of client 0's
+// request `seq`, ahead of the request itself.
+void presend_share(Cluster& cluster, NodeId attacker, NodeId victim,
+                   uint64_t seq, BytesView x) {
+  Writer w;
+  RequestId{Cluster::client_id(0), seq}.write(w);
+  w.bytes(x);
+  cluster.net().send(attacker, victim,
+                     bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
+                                        attacker, victim, std::move(w).take()));
+}
+
+// A share claiming another replica's index must not crowd the real one out.
+// Regression: ARSS2 keeps the first share per index, so a forged share with
+// replica 1's index that reached replica 0 before delivery turned replica
+// 1's real share into a duplicate; with replica 3's own share cut off,
+// replica 0 never held f + 2 consistent shares.  The client completed
+// through replicas 1 and 2, so nothing reported the stalled replica.
+TEST(Byzantine, Cp3ShareClaimingAnotherIndexCannotStallAReplica) {
+  auto opts = byz_options();
+  opts.protocol = Protocol::kCp3;
+  Cluster cluster(opts);
+  const NodeId attacker = 3;
+  const NodeId victim = 0;
+  constexpr int kOps = 6;
+
+  crypto::Drbg rng(to_bytes("forged-shares"));
+  for (int i = 0; i < kOps; ++i) {
+    // Shaped like the real op's shares, but from a sharing of its own.
+    const Bytes op = apps::KvStore::put("k" + std::to_string(i), to_bytes("v"));
+    const auto forged =
+        secretshare::arss2_share(op, cluster.f(), cluster.n(), rng).at(1);
+    ASSERT_EQ(forged.index, 2u);  // replica 1's
+    const RequestId id{Cluster::client_id(0), static_cast<uint64_t>(i + 1)};
+    const Bytes box =
+        crypto::aead_seal(cluster.keys().channel_key(attacker, victim),
+                          id.encode(), forged.serialize(), rng);
+    presend_share(cluster, attacker, victim, id.seq, box);
+  }
+  cluster.faults().cut(attacker, victim);
+
+  run_puts_and_settle(cluster, kOps);
+  for (NodeId r : {victim, NodeId{2}}) {
+    EXPECT_EQ(dynamic_cast<apps::KvStore&>(cluster.service(r)).size(),
+              static_cast<std::size_t>(kOps))
+        << "replica " << r;
+  }
+}
+
+// A verified share set can still fail to combine; the reveal must then wait
+// for one more share instead of wedging.  Regression: replica 3 pre-sent
+// replica 0 replica 0's OWN share as its own, so the first flush verified
+// two shares with one index, the combine failed, and later shares were never
+// verified because the flush only ran below the threshold.
+TEST(Byzantine, Cp0DuplicateIndexShareCannotWedgeAReveal) {
+  auto opts = byz_options();
+  opts.protocol = Protocol::kCp0;
+  opts.cp0_modeled = true;
+  Cluster cluster(opts);
+  const NodeId attacker = 3;
+  const NodeId victim = 0;
+  constexpr int kOps = 6;
+
+  ModeledThresholdBackend backend(cluster.f() + 1, cluster.n());
+  crypto::Drbg rng(to_bytes("replayed-shares"));
+  for (int i = 0; i < kOps; ++i) {
+    const RequestId id{Cluster::client_id(0), static_cast<uint64_t>(i + 1)};
+    const auto own =
+        backend.decryption_share_preverified(victim + 1, {}, id.encode(), rng);
+    ASSERT_TRUE(own.has_value());
+    presend_share(cluster, attacker, victim, id.seq, *own);
+  }
+
+  run_puts_and_settle(cluster, kOps);
+  EXPECT_EQ(dynamic_cast<apps::KvStore&>(cluster.service(victim)).size(),
+            static_cast<std::size_t>(kOps));
+  EXPECT_EQ(
+      dynamic_cast<RevealEngine&>(cluster.replica_app(victim)).pending_count(),
+      0u);
 }
 
 // A Byzantine replica floods CHECKPOINT votes with distinct far-future

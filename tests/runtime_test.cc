@@ -6,6 +6,8 @@
 // `cmake --preset tsan` in CI) and an rt::SocketTransport loopback smoke.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -28,13 +30,15 @@ constexpr int kRounds = 4;
 // Returns every client-observed result in order; "<timeout>" marks an
 // operation that missed its deadline, so the equivalence comparison fails
 // loudly instead of comparing truncated runs.
-std::vector<Bytes> run_workload(RuntimeKind runtime, Protocol protocol) {
+std::vector<Bytes> run_workload(RuntimeKind runtime, Protocol protocol,
+                                uint32_t worker_threads = 0) {
   ClusterOptions opts;
   opts.protocol = protocol;
   opts.runtime = runtime;
   opts.bft = bft::BftConfig::for_f(1);
   opts.num_clients = 2;
   opts.seed = 7;
+  opts.worker_threads = worker_threads;
   opts.service_factory = [] { return std::make_unique<apps::KvStore>(); };
   Cluster cluster(opts);
 
@@ -49,12 +53,20 @@ std::vector<Bytes> run_workload(RuntimeKind runtime, Protocol protocol) {
   }
   // The client completes on an f+1 quorum, so the slowest replica may still
   // be executing the tail; let every replica catch up before quiescing.
-  // executed_requests() is atomic — safe to poll while workers run.
+  // replica_executed counts BFT deliveries, and CP0-CP3 execute only once
+  // the reveal after delivery completes, so also wait for each replica's
+  // reveal backlog (the cpN.pending gauge; absent, hence 0, elsewhere).
+  // Both are atomic — safe to poll while workers run.
+  std::string pending = protocol_name(protocol);
+  std::transform(pending.begin(), pending.end(), pending.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  pending += ".pending";
   auto converged = [&] {
     const uint64_t e0 = cluster.replica_executed(0);
     if (e0 == 0) return false;
-    for (uint32_t r = 1; r < cluster.n(); ++r) {
+    for (uint32_t r = 0; r < cluster.n(); ++r) {
       if (cluster.replica_executed(r) != e0) return false;
+      if (cluster.replica_metrics(r).gauge_value(pending) != 0) return false;
     }
     return true;
   };
@@ -76,7 +88,8 @@ std::vector<Bytes> run_workload(RuntimeKind runtime, Protocol protocol) {
     EXPECT_EQ(dynamic_cast<apps::KvStore&>(cluster.service(r)).size(),
               static_cast<std::size_t>(kRounds))
         << protocol_name(protocol) << " replica " << r << " runtime "
-        << (runtime == RuntimeKind::kSim ? "sim" : "threads");
+        << (runtime == RuntimeKind::kSim ? "sim" : "threads") << " pool "
+        << worker_threads;
   }
   return results;
 }
@@ -96,6 +109,16 @@ TEST_P(RuntimeEquivalence, SimAndThreadsDeliverTheSamePlaintexts) {
   for (int i = 0; i < kRounds; ++i) {
     EXPECT_EQ(threads[2 * i + 1], to_bytes("value-" + std::to_string(i)));
   }
+}
+
+// The same workload with a real crypto worker pool: reveal jobs run on pool
+// threads while new shares buffer behind the one job in flight per request
+// (DESIGN.md §12), the path every other test runs inline.
+TEST_P(RuntimeEquivalence, PoolThreadsDeliverTheSamePlaintexts) {
+  const std::vector<Bytes> sim = run_workload(RuntimeKind::kSim, GetParam());
+  const std::vector<Bytes> pooled =
+      run_workload(RuntimeKind::kThreads, GetParam(), /*worker_threads=*/2);
+  EXPECT_EQ(sim, pooled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, RuntimeEquivalence,
