@@ -250,6 +250,14 @@ TEST(BatchingReplica, FallbackTimerDrainsQueuedRequestsWithoutClientRetries) {
   }
 }
 
+// The reveal engine metric `name` of `protocol` ("cp0.pending", ...).
+std::string reveal_metric(Protocol protocol, const char* name) {
+  const char* prefix = protocol == Protocol::kCp0   ? "cp0."
+                       : protocol == Protocol::kCp2 ? "cp2."
+                                                    : "cp3.";
+  return prefix + std::string(name);
+}
+
 // Shares that arrive after a reveal completed are dropped on the floor and
 // must never resurrect reveal state for a finished request.
 TEST(BatchingReplica, LateSharesAreDroppedWithoutResurrectingRevealState) {
@@ -277,11 +285,7 @@ TEST(BatchingReplica, LateSharesAreDroppedWithoutResurrectingRevealState) {
     const host::Time settle = cluster.sim().now() + 1 * host::kSecond;
     cluster.sim().run_while([&] { return cluster.sim().now() >= settle; });
 
-    const std::string counter =
-        std::string(protocol == Protocol::kCp0   ? "cp0"
-                    : protocol == Protocol::kCp2 ? "cp2"
-                                                 : "cp3") +
-        ".late_shares_dropped";
+    const std::string counter = reveal_metric(protocol, "late_shares_dropped");
     uint64_t dropped = 0;
     for (uint32_t r = 0; r < 3; ++r) {
       dropped += cluster.replica_metrics(r).counter(counter).value();
@@ -340,11 +344,8 @@ TEST_P(BatchingReplicaEarlyShares, StashStaysBoundedUnderFlood) {
   const std::size_t cap = kCap * (cluster.n() + 1);
   EXPECT_GT(early_count(3), 0u) << "the flood never stashed an early share";
   EXPECT_LE(early_count(3), cap);
-  const std::string prefix = GetParam() == Protocol::kCp0   ? "cp0"
-                             : GetParam() == Protocol::kCp2 ? "cp2"
-                                                            : "cp3";
-  const obs::Gauge& stashed =
-      cluster.replica_metrics(3).gauge(prefix + ".early_shares");
+  const obs::Gauge& stashed = cluster.replica_metrics(3).gauge(
+      reveal_metric(GetParam(), "early_shares"));
   EXPECT_LE(static_cast<std::size_t>(stashed.max()), cap)
       << "the stash exceeded its bound at some point during the flood";
 
@@ -355,7 +356,8 @@ TEST_P(BatchingReplicaEarlyShares, StashStaysBoundedUnderFlood) {
   auto converged = [&] {
     for (uint32_t r = 0; r < cluster.n(); ++r) {
       if (cluster.replica_executed(r) < static_cast<uint64_t>(kOps) ||
-          cluster.replica_metrics(r).gauge_value(prefix + ".pending") != 0) {
+          cluster.replica_metrics(r).gauge_value(
+              reveal_metric(GetParam(), "pending")) != 0) {
         return false;
       }
     }
