@@ -597,10 +597,7 @@ std::optional<Bytes> Cp0ReplicaApp::open_share(const RequestId& /*id*/,
 
 Bytes Cp0ReplicaApp::share_frame(const RequestId& id, NodeId /*to*/,
                                  BytesView wire, bft::ReplicaContext& /*ctx*/) {
-  Writer w;
-  id.write(w);
-  w.bytes(wire);
-  return std::move(w).take();
+  return share_message(id, wire);
 }
 
 std::optional<uint32_t> Cp0ReplicaApp::share_index(BytesView wire) const {

@@ -12,15 +12,11 @@ using host::Op;
 
 namespace {
 
-// A share for the private channel from -> to, sealed and bound to the ID:
-// the causal frame RequestId || bytes(AEAD box).
+// A share for the private channel from -> to, sealed and bound to the ID.
 Bytes seal_share(const bft::KeyRing& keys, NodeId from, NodeId to,
                  const RequestId& id, BytesView share_wire, crypto::Drbg& rng) {
-  Writer w;
-  id.write(w);
-  w.bytes(crypto::aead_seal(keys.channel_key(from, to), id.encode(),
-                            share_wire, rng));
-  return std::move(w).take();
+  return share_message(id, crypto::aead_seal(keys.channel_key(from, to),
+                                             id.encode(), share_wire, rng));
 }
 
 }  // namespace

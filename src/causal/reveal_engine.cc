@@ -10,17 +10,15 @@ using bft::NodeId;
 using host::Op;
 
 namespace {
-
 constexpr uint32_t kStateVersion = 1;
+}  // namespace
 
-Bytes share_request(const RequestId& id) {
+Bytes share_message(const RequestId& id, BytesView x) {
   Writer w;
   id.write(w);
-  w.bytes(Bytes{});
+  w.bytes(x);
   return std::move(w).take();
 }
-
-}  // namespace
 
 void RevealEngine::bind(bft::ReplicaContext& ctx) {
   if (m_.pending != nullptr) return;
@@ -191,7 +189,7 @@ void RevealEngine::arm_reveal_retry(const RequestId& id, uint32_t attempt,
                  if (!it->second.own_share.empty()) {
                    send_share(id, it->second.own_share, std::nullopt, ctx);
                  }
-                 ctx.broadcast_causal(share_request(id));
+                 ctx.broadcast_causal(share_message(id, {}));
                  arm_reveal_retry(id, attempt + 1, ctx);
                });
 }

@@ -37,6 +37,9 @@
 
 namespace scab::causal {
 
+/// The causal message a reveal share travels in: RequestId || bytes(x).
+Bytes share_message(const RequestId& id, BytesView x);
+
 class RevealEngine : public bft::ReplicaApp {
  public:
   /// Per-sender cap on shares stashed before their request is delivered:
