@@ -28,6 +28,67 @@ bool ReplyQuorum::add(NodeId replica, const ReplyMsg& reply) {
   return false;
 }
 
+// One operation slot.  Every ClientContext capability forwards to the
+// shared node (one sequential executor, one rng, one seq counter); only
+// complete() is slot-scoped, so a finishing protocol frees exactly its own
+// slot.
+struct Client::Slot final : ClientContext {
+  Slot(Client& client, ClientProtocol* p) : c(client), protocol(p) {}
+  Slot(Client& client, std::unique_ptr<ClientProtocol> p)
+      : c(client), owned(std::move(p)), protocol(owned.get()) {}
+
+  NodeId id() const override { return c.id(); }
+  const BftConfig& config() const override { return c.config_; }
+  host::Time now() const override { return c.now(); }
+  void send_request(uint64_t client_seq, Bytes payload) override {
+    const Bytes body = request_body(client_seq, std::move(payload));
+    for (NodeId r = 0; r < c.config_.n; ++r) {
+      charge(Op::kMsgOverhead, 0);
+      charge(Op::kMac, body.size());
+      c.send_raw(r, seal_envelope(c.keys_, Channel::kClientRequest, id(), r,
+                                  body));
+    }
+  }
+  void send_request_to(NodeId replica, uint64_t client_seq,
+                       Bytes payload) override {
+    const Bytes body = request_body(client_seq, std::move(payload));
+    charge(Op::kMac, body.size());
+    c.send_raw(replica, seal_envelope(c.keys_, Channel::kClientRequest, id(),
+                                      replica, body));
+  }
+  void send_causal(NodeId replica, Bytes body) override {
+    charge(Op::kMac, body.size());
+    c.send_raw(replica,
+               seal_envelope(c.keys_, Channel::kCausal, id(), replica, body));
+  }
+  uint64_t next_seq() override { return c.next_seq_++; }
+  void complete(Bytes result) override {
+    c.complete_slot(*this, std::move(result));
+  }
+  void charge(host::Op op, std::size_t bytes) override { c.charge(op, bytes); }
+  crypto::Drbg& rng() override { return c.rng_; }
+  const KeyRing& keys() const override { return c.keys_; }
+
+  static Bytes request_body(uint64_t client_seq, Bytes payload) {
+    ClientRequestMsg msg;
+    msg.client_seq = client_seq;
+    msg.payload = std::move(payload);
+    return msg.serialize();
+  }
+
+  Client& c;
+  std::unique_ptr<ClientProtocol> owned;  // null for the constructor's
+  ClientProtocol* protocol;
+  bool in_flight = false;
+  uint64_t seq = 0;
+  uint64_t index_base = 0;  // first logical-op index carried by this slot
+  uint32_t logical = 1;     // logical payloads packed into the operation
+  Bytes op;
+  host::Time start = 0;
+  uint64_t retry_epoch = 0;
+  uint32_t retries = 0;
+};
+
 Client::Client(host::Host& host, NodeId id, BftConfig config,
                const KeyRing& keys, const host::CostModel& costs,
                ClientProtocol* protocol, crypto::Drbg rng,
@@ -35,62 +96,26 @@ Client::Client(host::Host& host, NodeId id, BftConfig config,
     : HostBound(host, id, costs),
       config_(config),
       keys_(keys),
-      protocol_(protocol),
       rng_(std::move(rng)),
-      metrics_(metrics ? *metrics : obs::MetricsRegistry::inert()),
       tracer_(tracer ? *tracer : obs::Tracer::inert()) {
-  m_.submitted = &metrics_.counter("client.submitted");
-  m_.completed = &metrics_.counter("client.completed");
-  m_.retries = &metrics_.counter("client.retries");
-  m_.latency_ns = &metrics_.histogram("client.latency_ns");
+  obs::MetricsRegistry& reg = metrics ? *metrics : obs::MetricsRegistry::inert();
+  m_.submitted = &reg.counter("client.submitted");
+  m_.completed = &reg.counter("client.completed");
+  m_.retries = &reg.counter("client.retries");
+  m_.latency_ns = &reg.histogram("client.latency_ns");
+  m_.inflight_slots = &reg.histogram("client.pipeline_slots");
+  m_.shed = &reg.counter("client.shed");
+  slots_.push_back(std::make_unique<Slot>(*this, protocol));
 }
 
 Client::~Client() = default;
 
-// Per-slot view of the client: every ClientContext capability forwards to
-// the shared node (one sequential executor, one rng, one seq counter);
-// only complete() is slot-scoped so a finishing protocol frees exactly its
-// own slot.
-struct Client::SlotContext final : ClientContext {
-  SlotContext(Client* client, std::size_t slot) : c(client), s(slot) {}
-
-  NodeId id() const override { return c->id(); }
-  const BftConfig& config() const override { return c->config_; }
-  host::Time now() const override { return c->now(); }
-  void send_request(uint64_t client_seq, Bytes payload) override {
-    c->send_request(client_seq, std::move(payload));
-  }
-  void send_request_to(NodeId replica, uint64_t client_seq,
-                       Bytes payload) override {
-    c->send_request_to(replica, client_seq, std::move(payload));
-  }
-  void send_causal(NodeId replica, Bytes body) override {
-    c->send_causal(replica, std::move(body));
-  }
-  uint64_t next_seq() override { return c->next_seq(); }
-  void complete(Bytes result) override {
-    c->complete_slot(s, std::move(result));
-  }
-  void charge(host::Op op, std::size_t bytes) override { c->charge(op, bytes); }
-  crypto::Drbg& rng() override { return c->rng_; }
-  const KeyRing& keys() const override { return c->keys_; }
-
-  Client* c;
-  std::size_t s;
-};
-
 void Client::set_pipeline(ProtocolFactory factory, uint32_t inflight,
                           uint32_t batch) {
-  pipeline_inflight_ = std::max<uint32_t>(1, inflight);
-  pipeline_batch_ = std::max<uint32_t>(1, batch);
+  batch_ = std::max<uint32_t>(1, batch);
   slots_.clear();
-  if (pipeline_inflight_ == 1 && pipeline_batch_ == 1) return;  // legacy path
-  m_.inflight_slots = &metrics_.histogram("client.pipeline_slots");
-  for (uint32_t i = 0; i < pipeline_inflight_; ++i) {
-    auto slot = std::make_unique<Slot>();
-    slot->protocol = factory();
-    slot->ctx = std::make_unique<SlotContext>(this, i);
-    slots_.push_back(std::move(slot));
+  for (uint32_t i = 0; i < std::max<uint32_t>(1, inflight); ++i) {
+    slots_.push_back(std::make_unique<Slot>(*this, factory()));
   }
 }
 
@@ -100,11 +125,7 @@ void Client::run_closed_loop(OpGenerator gen, uint64_t max_ops,
   hook_ = std::move(hook);
   // max_ops counts operations from THIS call (the loop may be re-armed).
   max_ops_ = max_ops == 0 ? 0 : issued_ + max_ops;
-  if (pipelined()) {
-    fill_slots();
-    return;
-  }
-  if (!in_flight_) begin_next();
+  fill_slots();
 }
 
 void Client::run_open_loop(OpGenerator gen, uint64_t max_ops,
@@ -114,14 +135,56 @@ void Client::run_open_loop(OpGenerator gen, uint64_t max_ops,
   max_ops_ = max_ops == 0 ? 0 : issued_ + max_ops;
   open_loop_ = true;
   open_interval_ = std::max<host::Time>(1, interval);
-  if (m_.shed == nullptr) m_.shed = &metrics_.counter("client.shed");
   open_tick();
+}
+
+void Client::submit(Bytes op, CompletionHook hook) {
+  Slot* slot = free_slot();
+  if (slot == nullptr) {
+    m_.shed->inc();
+    return;
+  }
+  hook_ = std::move(hook);
+  generator_ = nullptr;
+  max_ops_ = 0;
+  std::vector<Bytes> ops;
+  ops.push_back(std::move(op));
+  launch(*slot, std::move(ops));
+}
+
+Client::Slot* Client::free_slot() {
+  for (auto& slot : slots_) {
+    if (!slot->in_flight) return slot.get();
+  }
+  return nullptr;
+}
+
+void Client::launch(Slot& slot, std::vector<Bytes> ops) {
+  slot.index_base = issued_;
+  slot.logical = static_cast<uint32_t>(ops.size());
+  issued_ += slot.logical;
+  // A batch of one is never framed: the wire is the single request's.
+  slot.op = ops.size() == 1 ? std::move(ops[0]) : encode_op_batch(ops);
+  slot.seq = next_seq_++;
+  slot.in_flight = true;
+  slot.retries = 0;
+  slot.start = now();
+  m_.submitted->inc(slot.logical);
+  tracer_.record(id(), slot.seq, obs::Phase::kSubmit, now());
+  slot.protocol->start(slot.seq, slot.op, slot);
+  arm_slot_retry(slot);
 }
 
 void Client::open_tick() {
   if (!open_loop_ || generator_ == nullptr) return;
   if (max_ops_ != 0 && issued_ >= max_ops_) return;  // done issuing
-  issue_one();
+  if (Slot* slot = free_slot()) {
+    std::vector<Bytes> ops;
+    ops.push_back(generator_(issued_));
+    launch(*slot, std::move(ops));
+  } else {
+    m_.shed->inc();
+  }
   if (max_ops_ != 0 && issued_ >= max_ops_) return;
   // Deterministic pacing: the base interval plus a DRBG draw of up to an
   // eighth, so many open-loop clients sharing a cluster desynchronize while
@@ -131,98 +194,49 @@ void Client::open_tick() {
   schedule(delay, [this] { open_tick(); });
 }
 
-void Client::issue_one() {
-  if (pipelined()) {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Slot& slot = *slots_[i];
-      if (slot.in_flight) continue;
-      // One logical op per tick: the open loop paces individual requests,
-      // so slot batching stays at one regardless of pipeline_batch_.
-      slot.index_base = issued_;
-      slot.logical = 1;
-      slot.op = generator_(issued_);
-      ++issued_;
-      slot.seq = next_seq();
-      slot.in_flight = true;
-      slot.retries = 0;
-      slot.start = now();
-      m_.submitted->inc();
-      tracer_.record(id(), slot.seq, obs::Phase::kSubmit, now());
-      slot.protocol->start(slot.seq, slot.op, *slot.ctx);
-      arm_slot_retry(i);
-      return;
-    }
-    m_.shed->inc();
-    return;
-  }
-  if (in_flight_) {
-    m_.shed->inc();
-    return;
-  }
-  begin_next();
-}
-
 void Client::fill_slots() {
   if (generator_ == nullptr) return;
-  // Occupancy after refill, recorded on early exits too.
-  auto record_occupancy = [this] {
-    uint64_t busy = 0;
-    for (const auto& s : slots_) busy += s->in_flight ? 1 : 0;
-    m_.inflight_slots->record(busy);
-  };
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& slot = *slots_[i];
-    if (slot.in_flight) continue;
-    if (max_ops_ != 0 && issued_ >= max_ops_) {
-      record_occupancy();
-      return;
-    }
-    uint32_t k = pipeline_batch_;
-    if (max_ops_ != 0) {
-      k = static_cast<uint32_t>(
-          std::min<uint64_t>(k, max_ops_ - issued_));
-    }
+  for (auto& slot : slots_) {
+    if (slot->in_flight) continue;
+    if (max_ops_ != 0 && issued_ >= max_ops_) break;
+    uint64_t k = batch_;
+    if (max_ops_ != 0) k = std::min<uint64_t>(k, max_ops_ - issued_);
     std::vector<Bytes> ops;
     ops.reserve(k);
-    for (uint32_t j = 0; j < k; ++j) ops.push_back(generator_(issued_ + j));
-    slot.index_base = issued_;
-    slot.logical = k;
-    issued_ += k;
-    // A batch of one is never framed: the wire stays bit-identical to the
-    // single-request path.
-    slot.op = k == 1 ? std::move(ops[0]) : encode_op_batch(ops);
-    slot.seq = next_seq();
-    slot.in_flight = true;
-    slot.retries = 0;
-    slot.start = now();
-    for (uint32_t j = 0; j < k; ++j) m_.submitted->inc();
-    tracer_.record(id(), slot.seq, obs::Phase::kSubmit, now());
-    slot.protocol->start(slot.seq, slot.op, *slot.ctx);
-    arm_slot_retry(i);
+    for (uint64_t j = 0; j < k; ++j) ops.push_back(generator_(issued_ + j));
+    launch(*slot, std::move(ops));
   }
-  record_occupancy();
+  uint64_t busy = 0;
+  for (const auto& slot : slots_) busy += slot->in_flight ? 1 : 0;
+  m_.inflight_slots->record(busy);
 }
 
-void Client::arm_slot_retry(std::size_t slot_index) {
-  Slot& slot = *slots_[slot_index];
+void Client::arm_slot_retry(Slot& slot) {
   const uint64_t epoch = ++slot.retry_epoch;
+  // Capped exponential backoff: the k-th retransmission of one operation
+  // waits base << min(k, cap), plus DRBG jitter of up to a quarter of the
+  // delay so retrying clients desynchronize.  The FIRST arm of an operation
+  // is exactly `retry_timeout_` with no DRBG draw: on the happy path (no
+  // retry ever fires) the client's random stream is untouched, which keeps
+  // seeded simulator runs bit-identical to the pre-backoff behavior.
   host::Time delay = retry_timeout_ << std::min(slot.retries, kMaxBackoffShift);
   if (slot.retries > 0) delay += rng_.uniform(delay / 4 + 1);
-  schedule(delay, [this, slot_index, epoch] {
-    Slot& s = *slots_[slot_index];
-    if (!s.in_flight || epoch != s.retry_epoch) return;
-    ++s.retries;
+  schedule(delay, [this, &slot, epoch] {
+    if (!slot.in_flight || epoch != slot.retry_epoch) return;
+    ++slot.retries;
     m_.retries->inc();
-    s.protocol->on_retransmit(*s.ctx);
-    arm_slot_retry(slot_index);
+    slot.protocol->on_retransmit(slot);
+    arm_slot_retry(slot);
   });
 }
 
-void Client::complete_slot(std::size_t slot_index, Bytes result) {
-  Slot& slot = *slots_[slot_index];
+void Client::complete_slot(Slot& slot, Bytes result) {
   if (!slot.in_flight) return;
   slot.in_flight = false;
   ++slot.retry_epoch;  // cancel pending retries
+  // Back to the base interval after a successful reply: one slow operation
+  // (e.g. one that rode out a view change) must not leave the next
+  // operation's first retransmission waiting a maxed-out backoff.
   slot.retries = 0;
   const host::Time end = now();
   const host::Time latency = end - slot.start;
@@ -233,10 +247,8 @@ void Client::complete_slot(std::size_t slot_index, Bytes result) {
     total_latency_ += latency * slot.logical;
   }
   completed_.fetch_add(slot.logical, std::memory_order_release);
-  for (uint32_t j = 0; j < slot.logical; ++j) {
-    m_.completed->inc();
-    m_.latency_ns->record(latency);
-  }
+  m_.completed->inc(slot.logical);
+  for (uint32_t j = 0; j < slot.logical; ++j) m_.latency_ns->record(latency);
   tracer_.record(id(), slot.seq, obs::Phase::kCompleted, end);
   if (hook_) {
     for (uint32_t j = 0; j < slot.logical; ++j) {
@@ -248,144 +260,32 @@ void Client::complete_slot(std::size_t slot_index, Bytes result) {
   if (!open_loop_) fill_slots();
 }
 
-void Client::submit(Bytes op, CompletionHook hook) {
-  if (pipelined()) return;  // pipelined mode drives ops via run_closed_loop
-  hook_ = std::move(hook);
-  generator_ = nullptr;
-  max_ops_ = 0;
-  in_flight_ = true;
-  retries_this_op_ = 0;
-  inflight_index_ = issued_++;
-  inflight_seq_ = next_seq();
-  inflight_op_ = std::move(op);
-  inflight_start_ = now();
-  m_.submitted->inc();
-  tracer_.record(id(), inflight_seq_, obs::Phase::kSubmit, now());
-  protocol_->start(inflight_seq_, inflight_op_, *this);
-  arm_retry();
-}
-
-void Client::begin_next() {
-  if (generator_ == nullptr) return;
-  if (max_ops_ != 0 && issued_ >= max_ops_) return;
-  in_flight_ = true;
-  retries_this_op_ = 0;
-  inflight_index_ = issued_;
-  inflight_op_ = generator_(issued_);
-  ++issued_;
-  inflight_seq_ = next_seq();
-  inflight_start_ = now();
-  m_.submitted->inc();
-  tracer_.record(id(), inflight_seq_, obs::Phase::kSubmit, now());
-  protocol_->start(inflight_seq_, inflight_op_, *this);
-  arm_retry();
-}
-
-void Client::arm_retry() {
-  const uint64_t epoch = ++retry_epoch_;
-  // Capped exponential backoff: the k-th retransmission of one operation
-  // waits base << min(k, cap), plus DRBG jitter of up to a quarter of the
-  // delay so retrying clients desynchronize.  The FIRST arm of an operation
-  // is exactly `retry_timeout_` with no DRBG draw: on the happy path (no
-  // retry ever fires) the client's random stream is untouched, which keeps
-  // seeded simulator runs bit-identical to the pre-backoff behavior.
-  host::Time delay = retry_timeout_
-                     << std::min(retries_this_op_, kMaxBackoffShift);
-  if (retries_this_op_ > 0) delay += rng_.uniform(delay / 4 + 1);
-  schedule(delay, [this, epoch] {
-    if (!in_flight_ || epoch != retry_epoch_) return;
-    ++retries_this_op_;
-    m_.retries->inc();
-    protocol_->on_retransmit(*this);
-    arm_retry();
-  });
-}
-
-void Client::send_request(uint64_t client_seq, Bytes payload) {
-  ClientRequestMsg msg;
-  msg.client_seq = client_seq;
-  msg.payload = std::move(payload);
-  const Bytes body = msg.serialize();
-  for (NodeId r = 0; r < config_.n; ++r) {
-    charge(Op::kMsgOverhead, 0);
-    charge(Op::kMac, body.size());
-    send_raw(r, seal_envelope(keys_, Channel::kClientRequest, id(), r, body));
-  }
-}
-
-void Client::send_request_to(NodeId replica, uint64_t client_seq,
-                             Bytes payload) {
-  ClientRequestMsg msg;
-  msg.client_seq = client_seq;
-  msg.payload = std::move(payload);
-  const Bytes body = msg.serialize();
-  charge(Op::kMac, body.size());
-  send_raw(replica,
-           seal_envelope(keys_, Channel::kClientRequest, id(), replica, body));
-}
-
-void Client::send_causal(NodeId replica, Bytes body) {
-  charge(Op::kMac, body.size());
-  send_raw(replica, seal_envelope(keys_, Channel::kCausal, id(), replica, body));
-}
-
-void Client::complete(Bytes result) {
-  if (!in_flight_) return;
-  in_flight_ = false;
-  ++retry_epoch_;  // cancel pending retries
-  // Back to the base interval after a successful reply: one slow operation
-  // (e.g. one that rode out a view change) must not leave the next
-  // operation's first retransmission waiting a maxed-out backoff.
-  retries_this_op_ = 0;
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    last_result_ = std::move(result);
-    total_latency_ += now() - inflight_start_;
-  }
-  completed_.fetch_add(1, std::memory_order_release);
-  m_.completed->inc();
-  m_.latency_ns->record(now() - inflight_start_);
-  tracer_.record(id(), inflight_seq_, obs::Phase::kCompleted, now());
-  if (hook_) hook_(inflight_index_, inflight_start_, now());
-  if (!open_loop_) begin_next();
-}
-
 void Client::on_message(NodeId /*from*/, BytesView msg) {
   charge(Op::kMsgOverhead, 0);
   charge(Op::kMac, msg.size());
   auto env = open_envelope(keys_, id(), msg);
   if (!env) return;
 
+  // Fan out to every in-flight slot: each slot's ReplyQuorum filters by its
+  // own client_seq, so only the owning slot counts a reply.
   switch (env->channel) {
     case Channel::kReply: {
       auto reply = ReplyMsg::parse(env->body);
       if (!reply || reply->replica != env->sender) return;
       if (env->sender >= config_.n) return;
-      if (pipelined()) {
-        // Fan out to every in-flight slot: each slot's ReplyQuorum filters
-        // by its own client_seq, so only the owning slot counts the vote.
-        for (auto& slot : slots_) {
-          if (slot->in_flight) {
-            slot->protocol->on_reply(env->sender, *reply, *slot->ctx);
-          }
+      for (auto& slot : slots_) {
+        if (slot->in_flight) {
+          slot->protocol->on_reply(env->sender, *reply, *slot);
         }
-        return;
       }
-      if (!in_flight_) return;
-      protocol_->on_reply(env->sender, *reply, *this);
       break;
     }
     case Channel::kCausal:
-      if (pipelined()) {
-        for (auto& slot : slots_) {
-          if (slot->in_flight) {
-            slot->protocol->on_causal_message(env->sender, env->body,
-                                              *slot->ctx);
-          }
+      for (auto& slot : slots_) {
+        if (slot->in_flight) {
+          slot->protocol->on_causal_message(env->sender, env->body, *slot);
         }
-        return;
       }
-      protocol_->on_causal_message(env->sender, env->body, *this);
       break;
     default:
       break;  // clients ignore BFT traffic

@@ -3,8 +3,9 @@
 // a new request before receiving a reply for a previous one").
 //
 // The client core handles sequencing, retransmission, and latency
-// accounting; a pluggable ClientProtocol defines what a "request" is on the
-// wire — plain PBFT payloads, CP0 threshold ciphertexts, CP1
+// accounting.  Every operation runs in a slot: one by default, which is the
+// paper's closed loop, or set_pipeline's window of slots.  A pluggable
+// ClientProtocol instance per slot defines what a "request" is on the wire — plain PBFT payloads, CP0 threshold ciphertexts, CP1
 // commitment-then-opening (two BFT rounds), or CP2/CP3 secret shares over
 // private channels.
 #pragma once
@@ -99,16 +100,18 @@ class ReplyQuorum {
   std::map<NodeId, Bytes> votes_;
 };
 
-class Client : public host::HostBound<ClientContext> {
+class Client : public host::HostBound<> {
  public:
-  /// `metrics` receives "client."-prefixed counters/histograms; `tracer` is
-  /// the cluster-wide request tracer (kSubmit/kCompleted endpoints).  Both
-  /// optional — null binds to the inert sinks.
+  /// `protocol` drives the client's one operation slot until set_pipeline
+  /// replaces it; the caller keeps it alive.  `metrics` receives
+  /// "client."-prefixed counters/histograms; `tracer` is the cluster-wide
+  /// request tracer (kSubmit/kCompleted endpoints).  Both optional — null
+  /// binds to the inert sinks.
   Client(host::Host& host, NodeId id, BftConfig config, const KeyRing& keys,
          const host::CostModel& costs, ClientProtocol* protocol,
          crypto::Drbg rng, obs::MetricsRegistry* metrics = nullptr,
          obs::Tracer* tracer = nullptr);
-  // Out-of-line: slots hold unique_ptrs to the forward-declared SlotContext.
+  // Out-of-line: slots_ holds unique_ptrs to the forward-declared Slot.
   ~Client() override;
 
   /// Generates the application body of operation #index.
@@ -117,7 +120,8 @@ class Client : public host::HostBound<ClientContext> {
   using CompletionHook = std::function<void(uint64_t index, host::Time start,
                                             host::Time end)>;
 
-  /// Issues `max_ops` operations back-to-back (0 = until the sim stops).
+  /// Keeps every slot busy until `max_ops` operations were issued (0 = until
+  /// the sim stops); each completion refills its slot.
   void run_closed_loop(OpGenerator gen, uint64_t max_ops,
                        CompletionHook hook = nullptr);
 
@@ -126,45 +130,27 @@ class Client : public host::HostBound<ClientContext> {
   /// tick that finds every slot busy SHEDS its operation — counted in
   /// "client.shed", never queued — so the achieved rate degrades visibly
   /// instead of building an unbounded backlog.  `max_ops` bounds the number
-  /// of operations ISSUED (0 = unbounded; shed ticks do not count).
-  /// Composes with set_pipeline for more than one in-flight slot (use
-  /// batch = 1: open loop paces logical ops individually).
+  /// of operations ISSUED (0 = unbounded; shed ticks do not count).  Each
+  /// tick carries one logical payload, whatever set_pipeline's batch.
   void run_open_loop(OpGenerator gen, uint64_t max_ops, host::Time interval,
                      CompletionHook hook = nullptr);
 
-  /// Issues a single operation.
+  /// Issues a single operation and ends any closed loop.  With every slot
+  /// busy the operation is dropped and counted in "client.shed".
   void submit(Bytes op, CompletionHook hook = nullptr);
 
-  /// Builds one ClientProtocol instance (pipelined mode needs one per slot).
+  /// Builds one ClientProtocol instance (one per slot).
   using ProtocolFactory = std::function<std::unique_ptr<ClientProtocol>()>;
 
-  /// Switches run_closed_loop into pipelined mode: up to `inflight`
-  /// operations in flight at once (each on its own protocol instance from
-  /// `factory`), with `batch` logical payloads aggregated per operation
-  /// (framed via bft/batch.h — the protocol must be batch-aware when
-  /// batch > 1; a batch of one is submitted unframed, bit-identical to the
-  /// closed-loop path).  Replies are fanned out to every in-flight slot;
-  /// ReplyQuorum's client_seq filter routes them.  Must be called before
-  /// run_closed_loop; inflight = batch = 1 keeps the legacy path.
+  /// Replaces the slot with `inflight` slots, each on its own protocol
+  /// instance from `factory`, and packs `batch` logical payloads into each
+  /// closed-loop operation (framed via bft/batch.h — the protocol must be
+  /// batch-aware when batch > 1; a batch of one is submitted unframed).
+  /// Must be called before the first operation.
   void set_pipeline(ProtocolFactory factory, uint32_t inflight, uint32_t batch);
-
-  uint32_t pipeline_inflight() const { return pipeline_inflight_; }
-  uint32_t pipeline_batch() const { return pipeline_batch_; }
 
   // --- host::Node ---
   void on_message(NodeId from, BytesView msg) override;
-
-  // --- ClientContext ---
-  // id()/now()/charge() come from the HostBound mixin.
-  const BftConfig& config() const override { return config_; }
-  void send_request(uint64_t client_seq, Bytes payload) override;
-  void send_request_to(NodeId replica, uint64_t client_seq,
-                       Bytes payload) override;
-  void send_causal(NodeId replica, Bytes body) override;
-  uint64_t next_seq() override { return next_seq_++; }
-  void complete(Bytes result) override;
-  crypto::Drbg& rng() override { return rng_; }
-  const KeyRing& keys() const override { return keys_; }
 
   // --- stats (safe to poll from the controlling thread under kThreads) ---
   uint64_t completed_ops() const {
@@ -186,36 +172,20 @@ class Client : public host::HostBound<ClientContext> {
   void set_retry_timeout(host::Time t) { retry_timeout_ = t; }
 
  private:
-  struct SlotContext;
-  friend struct SlotContext;
+  /// One operation slot, and the ClientContext its protocol sees.
+  struct Slot;
 
-  /// One pipelined operation slot: its own protocol instance, sequence
-  /// number, retry timer, and latency clock.
-  struct Slot {
-    std::unique_ptr<ClientProtocol> protocol;
-    std::unique_ptr<SlotContext> ctx;
-    bool in_flight = false;
-    uint64_t seq = 0;
-    uint64_t index_base = 0;  // first logical-op index carried by this slot
-    uint32_t logical = 1;     // logical payloads packed into the operation
-    Bytes op;
-    host::Time start = 0;
-    uint64_t retry_epoch = 0;
-    uint32_t retries = 0;
-  };
-
-  void begin_next();
-  void arm_retry();
-  bool pipelined() const { return !slots_.empty(); }
+  Slot* free_slot();
+  /// Starts one operation in `slot` carrying `ops`, the next logical
+  /// payloads in issue order.
+  void launch(Slot& slot, std::vector<Bytes> ops);
   void fill_slots();
-  void arm_slot_retry(std::size_t slot_index);
-  void complete_slot(std::size_t slot_index, Bytes result);
   void open_tick();
-  void issue_one();  // open-loop: one op into a free slot, or shed
+  void arm_slot_retry(Slot& slot);
+  void complete_slot(Slot& slot, Bytes result);
 
   BftConfig config_;
   const KeyRing& keys_;
-  ClientProtocol* protocol_;
   crypto::Drbg rng_;
 
   OpGenerator generator_;
@@ -225,40 +195,28 @@ class Client : public host::HostBound<ClientContext> {
   std::atomic<uint64_t> completed_{0};
   uint64_t next_seq_ = 1;
 
-  std::vector<std::unique_ptr<Slot>> slots_;  // empty = legacy single-flight
-  uint32_t pipeline_inflight_ = 1;
-  uint32_t pipeline_batch_ = 1;
+  std::vector<std::unique_ptr<Slot>> slots_;
+  uint32_t batch_ = 1;  // logical payloads per closed-loop operation
 
   bool open_loop_ = false;       // completions do NOT trigger the next op
   host::Time open_interval_ = 0;  // ns between open-loop ticks
-
-  bool in_flight_ = false;
-  uint64_t inflight_index_ = 0;
-  uint64_t inflight_seq_ = 0;
-  Bytes inflight_op_;
-  host::Time inflight_start_ = 0;
-  uint64_t retry_epoch_ = 0;
-  uint32_t retries_this_op_ = 0;
   host::Time retry_timeout_ = 500 * host::kMillisecond;
 
   mutable std::mutex stats_mu_;  // guards last_result_/total_latency_
   Bytes last_result_;
   host::Time total_latency_ = 0;
 
-  obs::MetricsRegistry& metrics_;
   obs::Tracer& tracer_;
   struct {
     obs::Counter* submitted;
     obs::Counter* completed;
     obs::Counter* retries;
     obs::Histogram* latency_ns;
-    // Pipelined mode only (bound in set_pipeline): slot occupancy after
-    // each refill — how much of the inflight window the workload keeps
-    // busy.
-    obs::Histogram* inflight_slots = nullptr;
-    // Open-loop mode only (bound in run_open_loop): ticks that found no
-    // free slot and dropped their operation.
-    obs::Counter* shed = nullptr;
+    // Slot occupancy after each closed-loop refill: how much of the
+    // inflight window the workload keeps busy.
+    obs::Histogram* inflight_slots;
+    // Operations dropped because every slot was busy.
+    obs::Counter* shed;
   } m_;
 };
 

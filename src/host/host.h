@@ -122,12 +122,15 @@ class Host : public Clock,
   virtual Storage* storage(NodeId node) { return (void)node, nullptr; }
 };
 
+struct NoContext {};
+
 /// Mixin deduplicating the per-node host plumbing that every protocol class
 /// needs: identity, clock/timer/charge forwarding, and bind/unbind lifetime
 /// (bound on construction, unbound on destruction).  `Base` is the context
-/// interface the class implements (bft::ReplicaContext, bft::ClientContext);
-/// the forwarders implicitly override the matching context virtuals.
-template <class Base>
+/// interface the class implements (bft::ReplicaContext), whose matching
+/// virtuals the forwarders implicitly override, or none (bft::Client hands
+/// each protocol a per-slot context instead).
+template <class Base = NoContext>
 class HostBound : public Base, public Node {
  public:
   HostBound(Host& host, NodeId id, const CostModel& costs)
