@@ -267,14 +267,17 @@ std::optional<std::vector<Bytes>> RealTdh2Backend::combine_batch_preverified(
   if (parsed == nullptr) return std::nullopt;
   auto seed = combine_seed_preverified(*parsed, shares);
   if (!seed) return std::nullopt;
+  // Verified shares combine to the one seed the KEM carries, so a box that
+  // does not open now never will, at any replica: say so with no payloads.
   if (parsed->batch) {
     return threshenc::hybrid_batch_open(*parsed->batch, prefix, full_label,
-                                        *seed);
+                                        *seed)
+        .value_or(std::vector<Bytes>{});
   }
-  auto one = threshenc::hybrid_open(*parsed->single, full_label, *seed);
-  if (!one) return std::nullopt;
   std::vector<Bytes> out;
-  out.push_back(std::move(*one));
+  if (auto one = threshenc::hybrid_open(*parsed->single, full_label, *seed)) {
+    out.push_back(std::move(*one));
+  }
   return out;
 }
 
@@ -562,15 +565,19 @@ void Cp0ReplicaApp::start(const RequestId& id, Reveal& r,
     ctx.charge(Op::kTdh2VerifyCt, ct.size());
     ciphertext_ok = backend_->verify_ciphertext(ct, s.label);
   }
-  std::optional<Bytes> share;
-  if (ciphertext_ok) {
-    // Share decryption only touches the KEM header, so a batched envelope
-    // pays the single-envelope price (1 KB convention unit), not one
-    // proportional to the packed payload bytes.
-    ctx.charge(Op::kTdh2ShareDec, r.count > 1 ? 1024 : ct.size());
-    share = backend_->decryption_share_preverified(ctx.id() + 1, ct, s.label,
-                                                   ctx.rng());
+  if (!ciphertext_ok) {
+    // The check is public, so no correct replica sends a share for these
+    // bytes: reveal that nothing executes instead of waiting for one.
+    m_.ct_rejected->inc();
+    reveal(id, r, {}, ctx);
+    return;
   }
+  // Share decryption only touches the KEM header, so a batched envelope
+  // pays the single-envelope price (1 KB convention unit), not one
+  // proportional to the packed payload bytes.
+  ctx.charge(Op::kTdh2ShareDec, r.count > 1 ? 1024 : ct.size());
+  auto share = backend_->decryption_share_preverified(ctx.id() + 1, ct,
+                                                      s.label, ctx.rng());
   if (share) {
     r.own_share = std::move(*share);
     resume(id, r, ctx);

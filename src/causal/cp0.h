@@ -118,8 +118,10 @@ class Cp0Backend {
     return messages.size() == 1 ? encrypt(messages[0], prefix, rng) : Bytes{};
   }
   /// Combine >= threshold preverified shares and open EVERY payload (all or
-  /// nothing); single wires return a one-element vector.  `full_label` is
-  /// the reveal_label() result; `prefix` the RequestId part of it.
+  /// nothing); single wires return a one-element vector.  nullopt: the
+  /// shares did not combine; empty: they did, but a payload does not open.
+  /// `full_label` is the reveal_label() result; `prefix` the RequestId part
+  /// of it.
   virtual std::optional<std::vector<Bytes>> combine_batch_preverified(
       BytesView ct, BytesView prefix, BytesView full_label,
       const std::vector<Bytes>& shares) {

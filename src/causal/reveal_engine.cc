@@ -212,6 +212,7 @@ void RevealEngine::answer_share_request(const RequestId& id, NodeId from,
 Bytes RevealEngine::execute(NodeId client, uint32_t count,
                             const std::vector<Bytes>& plaintexts,
                             bft::ReplicaContext& ctx) {
+  if (plaintexts.empty()) return kUndecryptableReply;
   // The reply stays the raw result for a single payload (bit-identical to
   // the unbatched path) and frames the per-payload results otherwise.
   if (count <= 1 && plaintexts.size() == 1) {

@@ -40,6 +40,11 @@ namespace scab::causal {
 /// The causal message a reveal share travels in: RequestId || bytes(x).
 Bytes share_message(const RequestId& id, BytesView x);
 
+/// The reply to a request that revealed no payload because it does not
+/// decrypt.  Every correct replica reaches that verdict alike, executes
+/// nothing and sends this.
+inline const Bytes kUndecryptableReply = to_bytes("scab:undecryptable");
+
 class RevealEngine : public bft::ReplicaApp {
  public:
   /// Per-sender cap on shares stashed before their request is delivered:
@@ -192,7 +197,8 @@ class RevealEngine : public bft::ReplicaApp {
   void answer_share_request(const RequestId& id, bft::NodeId from,
                             bft::ReplicaContext& ctx);
   void drain_execution(bft::ReplicaContext& ctx);
-  /// Runs every payload in its position; count > 1 frames the results.
+  /// Runs every payload in its position; count > 1 frames the results, and
+  /// no payload at all replies kUndecryptableReply.
   Bytes execute(bft::NodeId client, uint32_t count,
                 const std::vector<Bytes>& plaintexts, bft::ReplicaContext& ctx);
   /// Records `id` executed, caching its own share and dropping its state.

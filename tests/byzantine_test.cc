@@ -383,6 +383,80 @@ TEST(Byzantine, Cp0DuplicateIndexShareCannotWedgeAReveal) {
       0u);
 }
 
+// Runs client 0's put after an undecryptable CP0 request was ordered, and
+// checks that every replica executes it: the undecryptable request must
+// execute nothing and must not hold back the execution queue.
+void expect_next_put_executes(Cluster& cluster) {
+  const auto result = cluster.run_one(
+      0, apps::KvStore::put("k", to_bytes("v")), 60 * kSecond);
+  ASSERT_TRUE(result.has_value()) << "stalled behind the undecryptable request";
+  EXPECT_EQ(*result, to_bytes("ok"));
+  auto drained = [&](uint32_t i) {
+    return cluster.replica_executed(i) >= 2 &&
+           cluster.replica_metrics(i).gauge_value("cp0.pending") == 0;
+  };
+  const host::Time stop_at = cluster.sim().now() + 10 * kSecond;
+  cluster.sim().run_while([&] {
+    for (uint32_t i = 0; i < cluster.n(); ++i) {
+      if (!drained(i)) return cluster.sim().now() >= stop_at;
+    }
+    return true;
+  });
+  for (uint32_t i = 0; i < cluster.n(); ++i) {
+    EXPECT_TRUE(drained(i)) << "replica " << i;
+    EXPECT_EQ(dynamic_cast<apps::KvStore&>(cluster.service(i)).size(), 1u)
+        << "replica " << i;
+  }
+}
+
+// A valid KEM over a box that does not open.  hybrid_verify checks only the
+// KEM proof and the box length, so every replica admits and orders the
+// request; the seed then combines, but the box fails its tag.  Regression:
+// each replica waited for one more share forever, and since requests
+// execute in delivery order, no later request of any client executed.
+TEST(Byzantine, Cp0UndecryptableBoxCannotStallLaterRequests) {
+  auto opts = byz_options();
+  opts.protocol = Protocol::kCp0;
+  opts.num_clients = 2;
+  Cluster cluster(opts);
+  const NodeId cheater = Cluster::client_id(1);
+  cluster.net().faults().set_tamper(
+      [&](NodeId from, NodeId to, BytesView msg) -> std::optional<Bytes> {
+        Bytes out(msg.begin(), msg.end());
+        if (from != cheater) return out;
+        auto env = bft::open_envelope(cluster.keys(), to, msg);
+        if (!env || env->channel != bft::Channel::kClientRequest) return out;
+        auto req = bft::ClientRequestMsg::parse(env->body);
+        if (!req) return out;
+        req->payload.back() ^= 0x01;  // the box is the wire's last field
+        return bft::seal_envelope(cluster.keys(), bft::Channel::kClientRequest,
+                                  from, to, req->serialize());
+      });
+  cluster.client(1).submit(apps::KvStore::put("x", to_bytes("y")));
+  cluster.sim().run_until(cluster.sim().now() + 50 * kMillisecond);
+
+  expect_next_put_executes(cluster);
+  // Every correct replica replied the same marker, so the cheater's
+  // operation completed too.
+  EXPECT_EQ(cluster.client(1).completed_ops(), 1u);
+  EXPECT_EQ(cluster.client(1).last_result(), kUndecryptableReply);
+}
+
+// The same stall from bytes that are not a ciphertext at all.  Backups never
+// validate pre-prepared requests, so a Byzantine primary can order them;
+// no replica then produces a share.
+TEST(Byzantine, Cp0NonCiphertextFromPrimaryCannotStallLaterRequests) {
+  auto opts = byz_options();
+  opts.protocol = Protocol::kCp0;
+  opts.num_clients = 2;  // the forged request names client 1
+  Cluster cluster(opts);
+  cluster.replica(0).admit_foreign_request(Cluster::client_id(1), 1,
+                                           to_bytes("not a ciphertext"));
+  cluster.sim().run_until(cluster.sim().now() + 50 * kMillisecond);
+
+  expect_next_put_executes(cluster);
+}
+
 // A Byzantine replica floods CHECKPOINT votes with distinct far-future
 // sequence numbers.  Regression for the unbounded checkpoint_votes_ map:
 // every vote used to create an entry keyed by the attacker-chosen seq.  Now
