@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -125,6 +127,119 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RuntimeEquivalence,
                          ::testing::Values(Protocol::kPbft, Protocol::kCp0,
                                            Protocol::kCp1, Protocol::kCp2,
                                            Protocol::kCp3),
+                         [](const auto& info) {
+                           return std::string(protocol_name(info.param));
+                         });
+
+// Tallies every executed payload, so a payload executed twice (or never)
+// shows.
+class TallyService final : public Service {
+ public:
+  Bytes execute(host::NodeId /*client*/, BytesView op) override {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++tally_[Bytes(op.begin(), op.end())];
+    executed_.fetch_add(1, std::memory_order_relaxed);
+    return {};
+  }
+  uint64_t executed() const { return executed_.load(std::memory_order_relaxed); }
+  std::map<Bytes, int> tally() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return tally_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<Bytes, int> tally_;
+  std::atomic<uint64_t> executed_{0};
+};
+
+// Two clients with four slots in flight each (batch 1) on a protocol the
+// harness never pipelines: every replica executes every payload once.
+void run_four_slot_clients(RuntimeKind runtime, Protocol protocol) {
+  constexpr uint32_t kClients = 2;
+  constexpr uint64_t kOpsPerClient = 40;
+  const char* where = runtime == RuntimeKind::kSim ? "sim" : "threads";
+  ClusterOptions opts;
+  opts.protocol = protocol;
+  opts.runtime = runtime;
+  opts.bft = bft::BftConfig::for_f(1);
+  opts.num_clients = kClients;
+  opts.seed = 7;
+  opts.service_factory = [] { return std::make_unique<TallyService>(); };
+  Cluster cluster(opts);
+
+  for (uint32_t c = 0; c < kClients; ++c) {
+    bft::Client& client = cluster.client(c);
+    auto start = [&client, protocol, c] {
+      client.set_pipeline(
+          [protocol] {
+            StackContext ctx;
+            ctx.protocol = protocol;
+            return make_client_protocol(ctx);
+          },
+          /*inflight=*/4, /*batch=*/1);
+      client.run_closed_loop(
+          [c](uint64_t i) {
+            return to_bytes(std::to_string(c) + "/" + std::to_string(i));
+          },
+          kOpsPerClient);
+    };
+    // Under threads the client is touched only from its own executor.
+    if (runtime == RuntimeKind::kSim) {
+      start();
+    } else {
+      cluster.host().post(client.id(), start);
+    }
+  }
+
+  const uint64_t total = kClients * kOpsPerClient;
+  auto all_executed = [&] {
+    for (uint32_t c = 0; c < kClients; ++c) {
+      if (cluster.client(c).completed_ops() < kOpsPerClient) return false;
+    }
+    for (uint32_t r = 0; r < cluster.n(); ++r) {
+      if (dynamic_cast<TallyService&>(cluster.service(r)).executed() < total) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (runtime == RuntimeKind::kSim) {
+    const host::Time stop_at = cluster.sim().now() + 60 * host::kSecond;
+    cluster.sim().run_while(
+        [&] { return all_executed() || cluster.sim().now() >= stop_at; });
+  } else {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!all_executed() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  cluster.shutdown();
+  for (uint32_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(cluster.client(c).completed_ops(), kOpsPerClient)
+        << where << " client " << c;
+  }
+  for (uint32_t r = 0; r < cluster.n(); ++r) {
+    const auto tally = dynamic_cast<TallyService&>(cluster.service(r)).tally();
+    EXPECT_EQ(tally.size(), total) << where << " replica " << r;
+    for (const auto& [op, count] : tally) {
+      EXPECT_EQ(count, 1) << where << " replica " << r << " executed "
+                          << std::string(op.begin(), op.end()) << " " << count
+                          << " times";
+    }
+  }
+}
+
+class RuntimeEquivalenceSlots : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(RuntimeEquivalenceSlots, FourSlotClientsExecuteEachPayloadOnce) {
+  run_four_slot_clients(RuntimeKind::kSim, GetParam());
+  run_four_slot_clients(RuntimeKind::kThreads, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, RuntimeEquivalenceSlots,
+                         ::testing::Values(Protocol::kPbft, Protocol::kCp3),
                          [](const auto& info) {
                            return std::string(protocol_name(info.param));
                          });
