@@ -36,17 +36,17 @@ const char* protocol_name(Protocol p) {
 }
 
 namespace {
-// The shared derivation encoding (causal/stack.h): keeps this file's forks
-// bit-identical to the daemon's.
-Bytes seed_bytes(uint64_t seed, std::string_view label) {
-  return seed_label(seed, label);
-}
+// Distinct requests the cluster-wide tracer tracks: covers every bench and
+// test workload.
+constexpr std::size_t kTraceCapacity = 1 << 16;
+// Bits of the common-coin group generated when the options bring none.
+constexpr std::size_t kCoinGroupBits = 64;
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)),
-      tracer_(options_.trace_capacity),
-      master_rng_(seed_bytes(options_.seed, "cluster-master")) {
+      tracer_(kTraceCapacity),
+      master_rng_(seed_label(options_.seed, "cluster-master")) {
   const auto& cfg = options_.bft;
   if (!options_.service_factory) {
     options_.service_factory = [] { return std::make_unique<EchoService>(0); };
@@ -68,7 +68,7 @@ Cluster::Cluster(ClusterOptions options)
   for (uint32_t i = 0; i < options_.num_clients; ++i) {
     node_ids.push_back(client_id(i));
   }
-  keys_ = std::make_unique<bft::KeyRing>(seed_bytes(options_.seed, "keyring"),
+  keys_ = std::make_unique<bft::KeyRing>(seed_label(options_.seed, "keyring"),
                                          node_ids);
 
   // Protocol-wide cryptographic setup (the "trusted dealer" of §V-A for
@@ -82,7 +82,7 @@ Cluster::Cluster(ClusterOptions options)
     if (!options_.coin_group) {
       crypto::Drbg grng = master_rng_.fork(to_bytes("coin-group"));
       options_.coin_group =
-          crypto::ModGroup::generate(options_.coin_group_bits, grng);
+          crypto::ModGroup::generate(kCoinGroupBits, grng);
     }
     crypto::Drbg crng = master_rng_.fork(to_bytes("coin"));
     coin_ = std::make_unique<abft::CoinKeyMaterial>(
@@ -99,8 +99,7 @@ Cluster::Cluster(ClusterOptions options)
       if (options_.durability == ClusterOptions::Durability::kFile &&
           options_.runtime == RuntimeKind::kThreads) {
         storage = std::make_unique<rt::FileStorage>(
-            options_.data_dir + "/node" + std::to_string(i),
-            rt::FileStorage::Options{options_.storage_fsync});
+            options_.data_dir + "/node" + std::to_string(i));
       } else {
         storage = std::make_unique<host::MemStorage>();
       }
@@ -122,7 +121,7 @@ Cluster::Cluster(ClusterOptions options)
     if (options_.engine == Engine::kPbftEngine) {
       auto replica = std::make_unique<bft::Replica>(
           *host_, i, cfg, *keys_, options_.costs, replica_apps_.back().get(),
-          master_rng_.fork(seed_bytes(i, "replica")),
+          master_rng_.fork(seed_label(i, "replica")),
           replica_metrics_.back().get(), &tracer_);
       if (replica->has_storage() &&
           options_.runtime == RuntimeKind::kThreads) {
@@ -147,7 +146,7 @@ Cluster::Cluster(ClusterOptions options)
       auto replica = std::make_unique<abft::AsyncReplica>(
           *host_, i, cfg, *keys_, options_.costs, coin_->pk,
           coin_->shares.at(i), replica_apps_.back().get(),
-          master_rng_.fork(seed_bytes(i, "replica")));
+          master_rng_.fork(seed_label(i, "replica")));
       async_replicas_.push_back(std::move(replica));
     }
   }
@@ -160,7 +159,7 @@ Cluster::Cluster(ClusterOptions options)
     auto client = std::make_unique<bft::Client>(
         *host_, client_id(i), cfg, *keys_, options_.costs,
         client_protocols_.back().get(),
-        master_rng_.fork(seed_bytes(i, "client")),
+        master_rng_.fork(seed_label(i, "client")),
         client_metrics_.back().get(), &tracer_);
     // Pipelined/batched mode (CP0 only: its envelope amortizes a batch
     // under one KEM header; the other protocols stay strictly closed-loop).
@@ -261,7 +260,7 @@ void Cluster::restart_replica(uint32_t i) {
       // Generation-tagged fork: the reborn replica must not replay its old
       // incarnation's randomness stream.
       master_rng_.fork(
-          seed_bytes((static_cast<uint64_t>(gen) << 32) | i, "replica")),
+          seed_label((static_cast<uint64_t>(gen) << 32) | i, "replica")),
       replica_metrics_.at(i).get(), &tracer_);
   // Recover from the attached storage (a no-op without one) while the crash
   // flag still shields the endpoint: WAL replay re-drives the app, and any

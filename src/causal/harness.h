@@ -100,11 +100,6 @@ struct ClusterOptions {
   /// Async engine: the common-coin group (defaults to a small generated
   /// group in tests; benches install modp_512 to price the coin honestly).
   std::optional<crypto::ModGroup> coin_group;
-  std::size_t coin_group_bits = 64;
-
-  /// Request-tracer capacity (distinct requests tracked); 0 disables
-  /// tracing.  The default covers every bench and test workload.
-  std::size_t trace_capacity = 1 << 16;
 
   /// Durable replica state (DESIGN.md §13).  kNone attaches no storage —
   /// the historical behavior, bit-identical event schedules under kSim.
@@ -112,12 +107,11 @@ struct ClusterOptions {
   /// the host owns it, so it survives crash_replica/restart_replica pairs
   /// (the harness model of a machine whose disk outlives its process) but
   /// not Cluster destruction.  kFile attaches rt::FileStorage under
-  /// `data_dir/node<i>` — kThreads only; under kSim it degrades to kMem so
-  /// one test body can sweep both runtimes.
+  /// `data_dir/node<i>`, fsyncing every WAL sync — kThreads only; under
+  /// kSim it degrades to kMem so one test body can sweep both runtimes.
   enum class Durability { kNone, kMem, kFile };
   Durability durability = Durability::kNone;
-  std::string data_dir;       // kFile: per-replica dirs created beneath
-  bool storage_fsync = true;  // kFile: false = group-commit-only "async"
+  std::string data_dir;  // kFile: per-replica dirs created beneath
 };
 
 class Cluster {
