@@ -116,32 +116,44 @@ bool RealTdh2Backend::verify_share(BytesView ct, BytesView label,
   return threshenc::tdh2_verify_share(pk_, parsed->kem(), label, *parsed_share);
 }
 
-std::vector<uint8_t> RealTdh2Backend::batch_verify_shares(
-    BytesView ct, BytesView label, const std::vector<Bytes>& shares,
-    crypto::Drbg& rng, uint32_t* fallback_splits) {
-  if (fallback_splits != nullptr) *fallback_splits = 0;
+namespace {
+// Shares that fail to parse keep verdict 0; the rest go through one
+// randomized batch equation (with bisection fallback inside).
+std::vector<uint8_t> tdh2_batch_verdicts(const threshenc::Tdh2PublicKey& pk,
+                                         const threshenc::Tdh2Ciphertext& kem,
+                                         BytesView label,
+                                         const std::vector<Bytes>& shares,
+                                         crypto::Drbg& rng,
+                                         uint32_t* fallback_splits) {
   std::vector<uint8_t> verdicts(shares.size(), 0);
-  const ParsedWire* parsed = parsed_ct(ct);
-  if (parsed == nullptr) return verdicts;
-  // Shares that fail to parse keep verdict 0; the rest go through one
-  // randomized batch equation (with bisection fallback inside).
   std::vector<threshenc::Tdh2DecryptionShare> batch;
   std::vector<std::size_t> positions;
   batch.reserve(shares.size());
   positions.reserve(shares.size());
   for (std::size_t i = 0; i < shares.size(); ++i) {
-    auto ps = threshenc::Tdh2DecryptionShare::parse(pk_.group, shares[i]);
+    auto ps = threshenc::Tdh2DecryptionShare::parse(pk.group, shares[i]);
     if (!ps) continue;
     batch.push_back(std::move(*ps));
     positions.push_back(i);
   }
   const threshenc::Tdh2BatchVerdict verdict =
-      threshenc::tdh2_batch_verify_shares(pk_, parsed->kem(), label, batch, rng);
+      threshenc::tdh2_batch_verify_shares(pk, kem, label, batch, rng);
   for (std::size_t j = 0; j < positions.size(); ++j) {
     verdicts[positions[j]] = verdict.valid[j];
   }
   if (fallback_splits != nullptr) *fallback_splits = verdict.bisection_splits;
   return verdicts;
+}
+}  // namespace
+
+std::vector<uint8_t> RealTdh2Backend::batch_verify_shares(
+    BytesView ct, BytesView label, const std::vector<Bytes>& shares,
+    crypto::Drbg& rng, uint32_t* fallback_splits) {
+  if (fallback_splits != nullptr) *fallback_splits = 0;
+  const ParsedWire* parsed = parsed_ct(ct);
+  if (parsed == nullptr) return std::vector<uint8_t>(shares.size(), 0);
+  return tdh2_batch_verdicts(pk_, parsed->kem(), label, shares, rng,
+                             fallback_splits);
 }
 
 std::function<Cp0Backend::BatchVerifyResult()>
@@ -164,22 +176,8 @@ RealTdh2Backend::make_batch_share_verifier(BytesView ct, BytesView label,
     BatchVerifyResult out;
     out.verdicts.assign(shares.size(), 0);
     if (kem) {
-      std::vector<threshenc::Tdh2DecryptionShare> batch;
-      std::vector<std::size_t> positions;
-      batch.reserve(shares.size());
-      positions.reserve(shares.size());
-      for (std::size_t i = 0; i < shares.size(); ++i) {
-        auto ps = threshenc::Tdh2DecryptionShare::parse(pk.group, shares[i]);
-        if (!ps) continue;
-        batch.push_back(std::move(*ps));
-        positions.push_back(i);
-      }
-      const threshenc::Tdh2BatchVerdict verdict =
-          threshenc::tdh2_batch_verify_shares(pk, *kem, label, batch, rng);
-      for (std::size_t j = 0; j < positions.size(); ++j) {
-        out.verdicts[positions[j]] = verdict.valid[j];
-      }
-      out.fallback_splits = verdict.bisection_splits;
+      out.verdicts = tdh2_batch_verdicts(pk, *kem, label, shares, rng,
+                                         &out.fallback_splits);
     }
     out.shares = std::move(shares);
     return out;

@@ -11,19 +11,13 @@
 #include <unordered_set>
 
 #include "bft/client.h"
+#include "causal/stack.h"
 #include "common/serialize.h"
 #include "crypto/drbg.h"
 
 namespace scab::chaos {
 
 namespace {
-
-Bytes seed_label(uint64_t seed, std::string_view label) {
-  Writer w;
-  w.u64(seed);
-  w.str(std::string(label));
-  return std::move(w).take();
-}
 
 uint64_t link_key(host::NodeId a, host::NodeId b) {
   return (static_cast<uint64_t>(a) << 32) | b;
@@ -196,7 +190,7 @@ const char* fault_kind_name(FaultKind k) {
 
 std::vector<ChaosEvent> generate_schedule(uint64_t seed,
                                           const ChaosOptions& opt) {
-  crypto::Drbg rng(seed_label(seed, "chaos-schedule"));
+  crypto::Drbg rng(causal::seed_label(seed, "chaos-schedule"));
   const uint32_t n = 3 * opt.f + 1;
   std::vector<ChaosEvent> out;
 
@@ -350,7 +344,7 @@ ChaosReport run_chaos(uint64_t seed, const ChaosOptions& opt) {
   // High-entropy marker operations: unique per (client, index), so the
   // execution logs identify requests and the secrecy scan has 32 bytes that
   // cannot occur on the wire by chance.
-  crypto::Drbg mrng(seed_label(seed, "chaos-markers"));
+  crypto::Drbg mrng(causal::seed_label(seed, "chaos-markers"));
   std::vector<std::vector<Bytes>> ops(opt.num_clients);
   auto hook = std::make_shared<HookState>();
   for (uint32_t ci = 0; ci < opt.num_clients; ++ci) {
@@ -397,7 +391,7 @@ ChaosReport run_chaos(uint64_t seed, const ChaosOptions& opt) {
 
   // Kick off every client's paced workload; think gaps average the horizon
   // divided by the op count, so submissions straddle the whole fault window.
-  crypto::Drbg trng(seed_label(seed, "chaos-think"));
+  crypto::Drbg trng(causal::seed_label(seed, "chaos-think"));
   const uint64_t gap_bound =
       std::max<uint64_t>(1, 2 * opt.horizon / std::max(1u, opt.ops_per_client));
   for (uint32_t ci = 0; ci < opt.num_clients; ++ci) {
