@@ -98,7 +98,8 @@ Client::Client(host::Host& host, NodeId id, BftConfig config,
       keys_(keys),
       rng_(std::move(rng)),
       tracer_(tracer ? *tracer : obs::Tracer::inert()) {
-  obs::MetricsRegistry& reg = metrics ? *metrics : obs::MetricsRegistry::inert();
+  obs::MetricsRegistry& reg =
+      metrics ? *metrics : obs::MetricsRegistry::inert();
   m_.submitted = &reg.counter("client.submitted");
   m_.completed = &reg.counter("client.completed");
   m_.retries = &reg.counter("client.retries");

@@ -5,7 +5,8 @@
 // The client core handles sequencing, retransmission, and latency
 // accounting.  Every operation runs in a slot: one by default, which is the
 // paper's closed loop, or set_pipeline's window of slots.  A pluggable
-// ClientProtocol instance per slot defines what a "request" is on the wire — plain PBFT payloads, CP0 threshold ciphertexts, CP1
+// ClientProtocol instance per slot defines what a "request" is on the wire
+// — plain PBFT payloads, CP0 threshold ciphertexts, CP1
 // commitment-then-opening (two BFT rounds), or CP2/CP3 secret shares over
 // private channels.
 #pragma once

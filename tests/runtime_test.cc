@@ -141,7 +141,9 @@ class TallyService final : public Service {
     executed_.fetch_add(1, std::memory_order_relaxed);
     return {};
   }
-  uint64_t executed() const { return executed_.load(std::memory_order_relaxed); }
+  uint64_t executed() const {
+    return executed_.load(std::memory_order_relaxed);
+  }
   std::map<Bytes, int> tally() const {
     std::lock_guard<std::mutex> lk(mu_);
     return tally_;
