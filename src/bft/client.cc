@@ -104,7 +104,7 @@ Client::Client(host::Host& host, NodeId id, BftConfig config,
   m_.completed = &reg.counter("client.completed");
   m_.retries = &reg.counter("client.retries");
   m_.latency_ns = &reg.histogram("client.latency_ns");
-  m_.inflight_slots = &reg.histogram("client.pipeline_slots");
+  m_.pipeline_slots = &reg.histogram("client.pipeline_slots");
   m_.shed = &reg.counter("client.shed");
   slots_.push_back(std::make_unique<Slot>(*this, protocol));
 }
@@ -209,7 +209,7 @@ void Client::fill_slots() {
   }
   uint64_t busy = 0;
   for (const auto& slot : slots_) busy += slot->in_flight ? 1 : 0;
-  m_.inflight_slots->record(busy);
+  m_.pipeline_slots->record(busy);
 }
 
 void Client::arm_slot_retry(Slot& slot) {

@@ -214,8 +214,8 @@ class Client : public host::HostBound<> {
     obs::Counter* retries;
     obs::Histogram* latency_ns;
     // Slot occupancy after each closed-loop refill: how much of the
-    // inflight window the workload keeps busy.
-    obs::Histogram* inflight_slots;
+    // window the workload keeps busy.
+    obs::Histogram* pipeline_slots;
     // Operations dropped because every slot was busy.
     obs::Counter* shed;
   } m_;
