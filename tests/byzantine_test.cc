@@ -449,12 +449,19 @@ TEST(Byzantine, Cp0NonCiphertextFromPrimaryCannotStallLaterRequests) {
   auto opts = byz_options();
   opts.protocol = Protocol::kCp0;
   opts.num_clients = 2;  // the forged request names client 1
+  opts.durability = ClusterOptions::Durability::kMem;
   Cluster cluster(opts);
   cluster.replica(0).admit_foreign_request(Cluster::client_id(1), 1,
                                            to_bytes("not a ciphertext"));
   cluster.sim().run_until(cluster.sim().now() + 50 * kMillisecond);
 
   expect_next_put_executes(cluster);
+  // A restarted replica replays the empty outcome without waiting either.
+  cluster.crash_replica(2);
+  cluster.restart_replica(2);
+  cluster.sim().run_until(cluster.sim().now() + 1 * kSecond);
+  EXPECT_EQ(cluster.replica_metrics(2).gauge_value("cp0.pending"), 0);
+  EXPECT_EQ(dynamic_cast<apps::KvStore&>(cluster.service(2)).size(), 1u);
 }
 
 // A Byzantine replica floods CHECKPOINT votes with distinct far-future
