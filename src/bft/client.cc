@@ -1,6 +1,7 @@
 #include "bft/client.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "bft/batch.h"
 
@@ -113,6 +114,10 @@ Client::~Client() = default;
 
 void Client::set_pipeline(ProtocolFactory factory, uint32_t inflight,
                           uint32_t batch) {
+  // Retry timers of earlier operations hold the slots this would replace.
+  if (issued_ != 0) {
+    throw std::logic_error("Client::set_pipeline after the first operation");
+  }
   batch_ = std::max<uint32_t>(1, batch);
   slots_.clear();
   for (uint32_t i = 0; i < std::max<uint32_t>(1, inflight); ++i) {

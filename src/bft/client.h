@@ -147,7 +147,7 @@ class Client : public host::HostBound<> {
   /// instance from `factory`, and packs `batch` logical payloads into each
   /// closed-loop operation (framed via bft/batch.h — the protocol must be
   /// batch-aware when batch > 1; a batch of one is submitted unframed).
-  /// Must be called before the first operation.
+  /// Throws std::logic_error once an operation was issued.
   void set_pipeline(ProtocolFactory factory, uint32_t inflight, uint32_t batch);
 
   // --- host::Node ---

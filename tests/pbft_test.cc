@@ -208,6 +208,22 @@ TEST(Pbft, FairnessWatchdogDemotesStarvingPrimary) {
   EXPECT_GE(cluster.replica(2).view(), 1u);  // the old primary was demoted
 }
 
+// An issued operation's retry timer holds its slot, so the slots cannot be
+// replaced once one was issued.
+TEST(Pbft, ClientRefusesSetPipelineAfterAnOperation) {
+  Cluster cluster(base_options());
+  bft::Client& client = cluster.client(0);
+  ASSERT_TRUE(cluster.run_one(0, to_bytes("first")).has_value());
+  EXPECT_THROW(client.set_pipeline(
+                   [] { return make_client_protocol(StackContext{}); }, 4, 1),
+               std::logic_error);
+  // The refused call changed nothing: the client still runs operations, and
+  // both operations' retry timers fire against the slot they hold.
+  EXPECT_TRUE(cluster.run_one(0, to_bytes("second")).has_value());
+  cluster.sim().run_until(cluster.sim().now() + 2 * kSecond);
+  EXPECT_EQ(client.completed_ops(), 2u);
+}
+
 TEST(Pbft, LanProfileLatencyIsSubMillisecond) {
   auto opts = base_options();
   opts.profile = sim::NetworkProfile::lan();
