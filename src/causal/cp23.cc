@@ -24,19 +24,6 @@ Bytes seal_share(const bft::KeyRing& keys, NodeId from, NodeId to,
 // ---------------------------------------------------------------------------
 // Replica
 
-/// One ARSS reconstruction in progress.
-struct ArssReplicaApp::Recovery {
-  std::optional<secretshare::Arss1Reconstructor> arss1;
-  std::optional<secretshare::Arss2Reconstructor> arss2;
-
-  std::optional<Bytes> add(const Arss1Share& s) {
-    return arss1 ? arss1->add(s) : arss2->add(s.inner);
-  }
-  std::size_t attempts() const {
-    return arss1 ? arss1->attempts() : arss2->attempts();
-  }
-};
-
 ArssReplicaApp::ArssReplicaApp(std::unique_ptr<Service> service,
                                const char* prefix,
                                std::optional<crypto::Commitment> commitment,
@@ -135,13 +122,12 @@ void ArssReplicaApp::start(const RequestId& id, Reveal& r,
   ArssState& s = arss(r);
   std::optional<Arss1Share> own;
   if (!r.own_share.empty()) own = parse_share(r.own_share);
-  s.recovery = std::make_shared<Recovery>();
   if (arss1()) {
-    s.recovery->arss1.emplace(*commitment_, ctx.config().f, s.commitment);
+    s.arss1.emplace(*commitment_, ctx.config().f, s.commitment);
   } else {
     std::optional<secretshare::ShamirShare> own_inner;
     if (own) own_inner = std::move(own->inner);
-    s.recovery->arss2.emplace(ctx.config().f, std::move(own_inner), mode_);
+    s.arss2.emplace(ctx.config().f, std::move(own_inner), mode_);
   }
   if (own) send_share(id, r.own_share, std::nullopt, ctx);
 
@@ -162,53 +148,26 @@ void ArssReplicaApp::start(const RequestId& id, Reveal& r,
 void ArssReplicaApp::feed(const RequestId& id, Reveal& r,
                           std::vector<Arss1Share> batch,
                           bft::ReplicaContext& ctx) {
+  if (r.revealed) return;
   ArssState& s = arss(r);
-  if (r.revealed || batch.empty()) return;
-  if (r.inflight || !s.recovery) {
-    // A batch is already on the pool (the reconstructor travels with it):
-    // queue behind it; its landing feeds the backlog.
-    for (auto& share : batch) s.buffered.push_back(std::move(share));
-    return;
-  }
-  // The reconstructor is handed to the job; the commitment scheme is only
-  // read (const) through it, which is safe off-thread.
-  offload(id, r, [this, &ctx, id, rec = std::move(s.recovery),
-                  batch = std::move(batch)]() mutable -> Landing {
-    // Per-share attempt deltas, so the landing can charge the modeled costs
-    // exactly as a synchronous feed would.
-    std::vector<std::pair<std::size_t, std::size_t>> fed;  // (attempts, len)
-    std::optional<Bytes> secret;
-    for (const auto& share : batch) {
-      const std::size_t before = rec->attempts();
-      secret = rec->add(share);
-      fed.emplace_back(rec->attempts() - before, share.inner.secret_len);
-      if (secret) break;
+  for (const Arss1Share& share : batch) {
+    const std::size_t before = s.attempts();
+    std::optional<Bytes> secret =
+        s.arss1 ? s.arss1->add(share) : s.arss2->add(share.inner);
+    const std::size_t attempts = s.attempts() - before;
+    m_.recovery_attempts->inc(attempts);
+    for (std::size_t i = 0; i < attempts; ++i) {
+      ctx.charge(Op::kShamirRec, share.inner.secret_len);
+      if (arss1()) ctx.charge(Op::kCommitOpen, share.inner.secret_len);
     }
-    return [this, &ctx, id, rec = std::move(rec), fed = std::move(fed),
-            secret = std::move(secret)](Reveal& r) mutable {
-      ArssState& s = arss(r);
-      s.recovery = std::move(rec);
-      for (const auto& [attempts, len] : fed) {
-        m_.recovery_attempts->inc(attempts);
-        for (std::size_t i = 0; i < attempts; ++i) {
-          ctx.charge(Op::kShamirRec, len);
-          if (arss1()) ctx.charge(Op::kCommitOpen, len);
-        }
-      }
-      if (secret) {
-        m_.reconstructions->inc();
-        std::vector<Bytes> plaintexts;
-        plaintexts.push_back(std::move(*secret));
-        reveal(id, r, std::move(plaintexts), ctx);
-        return;
-      }
-      if (!s.buffered.empty()) {
-        std::vector<Arss1Share> next = std::move(s.buffered);
-        s.buffered.clear();
-        feed(id, r, std::move(next), ctx);
-      }
-    };
-  }, ctx);
+    if (secret) {
+      m_.reconstructions->inc();
+      std::vector<Bytes> plaintexts;
+      plaintexts.push_back(std::move(*secret));
+      reveal(id, r, std::move(plaintexts), ctx);
+      return;
+    }
+  }
 }
 
 void ArssReplicaApp::write_scheme(Writer& w, const Reveal& r) const {

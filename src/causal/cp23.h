@@ -33,7 +33,7 @@ namespace scab::causal {
 /// The replica side of CP2 (ARSS1, with the commitment scheme) and CP3
 /// (ARSS2) on the shared engine: the client deals this replica its share,
 /// x is an AEAD box per recipient, and shares feed the reconstructor on the
-/// worker pool.
+/// replica's executor (DESIGN.md §12).
 class ArssReplicaApp : public RevealEngine {
  public:
   bool validate_request(bft::NodeId client, const bft::ClientRequestMsg& msg,
@@ -45,15 +45,16 @@ class ArssReplicaApp : public RevealEngine {
                  secretshare::Arss2Mode mode);
 
  private:
-  struct Recovery;
   struct ArssState : SchemeState {
     Bytes commitment;  // CP2: agreed in the schedule step
-    // Shares awaiting a feed: adopted from the stash before the reveal
-    // starts, and anything received while a feed was on the pool.
+    // Shares adopted from the early-share stash before the reveal starts.
     std::vector<secretshare::Arss1Share> buffered;
-    // Travels with the pool job (null meanwhile); shared_ptr keeps the job
-    // closure copyable for std::function.
-    std::shared_ptr<Recovery> recovery;
+    // The reconstruction, from start() on: ARSS1 for CP2, ARSS2 for CP3.
+    std::optional<secretshare::Arss1Reconstructor> arss1;
+    std::optional<secretshare::Arss2Reconstructor> arss2;
+    std::size_t attempts() const {
+      return arss1 ? arss1->attempts() : arss2->attempts();
+    }
   };
   static ArssState& arss(Reveal& r) {
     return static_cast<ArssState&>(*r.scheme);
@@ -61,8 +62,9 @@ class ArssReplicaApp : public RevealEngine {
   bool arss1() const { return commitment_.has_value(); }
   /// Parses a share wire; an ARSS2 share gets an empty commitment.
   std::optional<secretshare::Arss1Share> parse_share(BytesView wire) const;
-  /// Feeds a batch of shares to the reconstructor ON THE WORKER POOL; the
-  /// landing charges per-attempt costs and applies the reveal.
+  /// Feeds shares to the reconstructor in order, charging every recovery
+  /// attempt, and reveals once one recovers the secret.  `r` may be gone
+  /// after a reveal.
   void feed(const RequestId& id, Reveal& r,
             std::vector<secretshare::Arss1Share> batch,
             bft::ReplicaContext& ctx);

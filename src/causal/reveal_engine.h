@@ -11,7 +11,8 @@
 //     client's share to replica i index i + 1; other senders are dropped;
 //   * reveal retry with backoff, and answers to share re-requests (from the
 //     pending reveal or a bounded cache of executed requests' own shares);
-//   * pool offload with one job in flight per request;
+//   * pool offload with one job in flight per request (CP0's batch share
+//     verification; CP2/CP3 reconstruct inline);
 //   * the snapshot blob and the kApp WAL records (DESIGN.md §13).
 //
 // Every causal message is the frame RequestId || bytes(x).  An empty x is
