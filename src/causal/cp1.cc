@@ -120,10 +120,8 @@ void Cp1ReplicaApp::on_deliver(uint64_t /*seq*/, const bft::Request& req,
   const auto phase = static_cast<Cp1Phase>(req.payload[0]);
   // A non-reveal delivery ends the current run of consecutive reveals:
   // execute the deferred run before processing it so service-visible
-  // ordering matches delivery order exactly.  Forced: opening checks still
-  // on the worker pool are resolved inline here — a cleanup (or schedule)
-  // must observe every earlier reveal's opened_/tentative_ transition.
-  if (phase != Cp1Phase::kReveal) flush_reveals(ctx, /*force=*/true);
+  // ordering matches delivery order exactly.
+  if (phase != Cp1Phase::kReveal) flush_reveals(ctx);
   switch (phase) {
     case Cp1Phase::kSchedule:
       deliver_schedule(req, ctx);
@@ -143,56 +141,10 @@ void Cp1ReplicaApp::on_batch_end(bft::ReplicaContext& ctx) {
   flush_reveals(ctx);
 }
 
-void Cp1ReplicaApp::resolve_reveal(DeferredReveal& d, bool ok,
-                                   bft::ReplicaContext& ctx) {
-  reveal_inflight_.erase(d.id);
-  if (!ok) {
-    d.state = DeferredReveal::State::kRejected;  // forged opening
-    m_.openings_rejected->inc();
-    return;
-  }
-  d.state = DeferredReveal::State::kValid;
-  opened_.insert(d.id);
-  tentative_.erase(d.id);
-  m_.opened->inc();
-  m_.tentative->set(static_cast<int64_t>(tentative_.size()));
-  // The span key is the SCHEDULE round's (client, seq) — d.id — which is
-  // what the client's submit/complete endpoints recorded under.
-  tracer_->record(d.id.client, d.id.seq, obs::Phase::kRevealed, ctx.now());
-  // The opening inputs are done; only the message (execution) remains.
-  d.commitment.clear();
-  d.opening.clear();
-}
-
-void Cp1ReplicaApp::flush_reveals(bft::ReplicaContext& ctx, bool force) {
+void Cp1ReplicaApp::flush_reveals(bft::ReplicaContext& ctx) {
   if (reveal_flush_.empty()) return;
-  if (force) {
-    // Resolve stragglers inline (their pool job, if any, lands later and
-    // no-ops on the state check).  The kCommitOpen charge was taken at
-    // delivery time.
-    for (auto& d : reveal_flush_) {
-      if (d.state != DeferredReveal::State::kPending) continue;
-      resolve_reveal(d,
-                     commitment_.open(d.id.encode(), d.commitment, d.message,
-                                      d.opening),
-                     ctx);
-    }
-  }
-  // Execute the resolved prefix in delivery order; stop at the first entry
-  // whose opening is still in flight.
-  std::size_t resolved = 0;
-  while (resolved < reveal_flush_.size() &&
-         reveal_flush_[resolved].state != DeferredReveal::State::kPending) {
-    ++resolved;
-  }
-  uint64_t executed = 0;
-  for (std::size_t i = 0; i < resolved; ++i) {
-    if (reveal_flush_[i].state == DeferredReveal::State::kValid) ++executed;
-  }
-  if (executed > 0) m_.batch_size->record(executed);
-  for (std::size_t i = 0; i < resolved; ++i) {
-    DeferredReveal& d = reveal_flush_[i];
-    if (d.state != DeferredReveal::State::kValid) continue;  // forged: drop
+  m_.batch_size->record(reveal_flush_.size());
+  for (const DeferredReveal& d : reveal_flush_) {
     ctx.charge(Op::kExecute, d.message.size());
     Bytes result = service_->execute(d.id.client, d.message);
     // The reply goes to whoever submitted the reveal request (normally the
@@ -200,11 +152,7 @@ void Cp1ReplicaApp::flush_reveals(bft::ReplicaContext& ctx, bool force) {
     // client's reveal round, so its quorum counts these replies).
     ctx.send_reply(d.id.client, d.reply_seq, std::move(result));
   }
-  reveal_flush_.erase(reveal_flush_.begin(),
-                      reveal_flush_.begin() + static_cast<std::ptrdiff_t>(resolved));
-  // A pending tail means this flush point could not complete: the landing
-  // continuation finishes the job.
-  flush_armed_ = !reveal_flush_.empty();
+  reveal_flush_.clear();
 }
 
 void Cp1ReplicaApp::deliver_schedule(const bft::Request& req,
@@ -233,8 +181,7 @@ void Cp1ReplicaApp::deliver_reveal(const bft::Request& req,
                                    bft::ReplicaContext& ctx) {
   auto body = parse_reveal(req.payload);
   if (!body) return;
-  if (opened_.contains(body->id)) return;        // duplicate reveal
-  if (reveal_inflight_.contains(body->id)) return;  // open already in flight
+  if (opened_.contains(body->id)) return;  // duplicate reveal
   if (aborted_.contains(body->id)) {
     ctx.send_reply(req.client, req.client_seq, aborted_marker());
     return;
@@ -243,38 +190,21 @@ void Cp1ReplicaApp::deliver_reveal(const bft::Request& req,
   if (tent == tentative_.end()) return;  // never scheduled: ignore
 
   ctx.charge(Op::kCommitOpen, body->message.size());
-  // The opening check rides the worker pool; the flush entry holds the
-  // delivery-order slot (and the opening inputs, so a forced flush can
-  // resolve it inline if the job has not landed).  Protocol state
-  // (opened_/tentative_) changes only at resolution — on this thread.
-  const RequestId id = body->id;
-  const uint64_t ticket = ++reveal_ticket_;
-  DeferredReveal d;
-  d.id = id;
-  d.ticket = ticket;
-  d.reply_seq = req.client_seq;
-  d.message = body->message;  // copied: the job needs its own below
-  d.commitment = tent->second.commitment;
-  d.opening = body->opening;
-  reveal_flush_.push_back(std::move(d));
-  reveal_inflight_.insert(id);
-  ctx.offload([this, &ctx, ticket, ck = commitment_, header = id.encode(),
-               commitment = tent->second.commitment,
-               message = std::move(body->message),
-               opening = std::move(body->opening)]() -> std::function<void()> {
-    const bool ok = ck.open(header, commitment, message, opening);
-    return [this, &ctx, ticket, ok] {
-      for (auto& d : reveal_flush_) {
-        if (d.ticket != ticket) continue;
-        // A forced flush may have resolved the entry inline already.
-        if (d.state == DeferredReveal::State::kPending) resolve_reveal(d, ok, ctx);
-        break;
-      }
-      // If a flush point already passed while this check was in flight,
-      // finish it now that the prefix may have resolved.
-      if (flush_armed_) flush_reveals(ctx);
-    };
-  });
+  if (!commitment_.open(body->id.encode(), tent->second.commitment,
+                        body->message, body->opening)) {
+    m_.openings_rejected->inc();  // forged opening: stays tentative
+    return;
+  }
+  opened_.insert(body->id);
+  tentative_.erase(tent);
+  m_.opened->inc();
+  m_.tentative->set(static_cast<int64_t>(tentative_.size()));
+  // The span key is the SCHEDULE round's (client, seq) — body->id — which
+  // is what the client's submit/complete endpoints recorded under.
+  tracer_->record(body->id.client, body->id.seq, obs::Phase::kRevealed,
+                  ctx.now());
+  reveal_flush_.push_back(
+      DeferredReveal{body->id, req.client_seq, std::move(body->message)});
 }
 
 void Cp1ReplicaApp::deliver_cleanup(const bft::Request& req,
@@ -420,18 +350,9 @@ Bytes Cp1ReplicaApp::serialize_state(bft::ReplicaContext& /*ctx*/) {
   // those ids when the client retransmits its reveal.
   w.u64(delivered_count_);
   w.u64(cleaned_count_);
-  // Deferred flush entries: delivered but unexecuted as of this snapshot.
-  // Pending entries keep their opening inputs so restore can resolve them
-  // inline (the pool job they were waiting on dies with the process).
-  w.u32(static_cast<uint32_t>(reveal_flush_.size()));
-  for (const DeferredReveal& d : reveal_flush_) {
-    d.id.write(w);
-    w.u64(d.reply_seq);
-    w.bytes(d.message);
-    w.u8(static_cast<uint8_t>(d.state));
-    w.bytes(d.commitment);
-    w.bytes(d.opening);
-  }
+  // The deferred-reveal count this format kept: always zero, because a
+  // snapshot is written after the batch flush.
+  w.u32(0);
   return std::move(w).take();
 }
 
@@ -461,23 +382,7 @@ bool Cp1ReplicaApp::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
   if (!read_id_set(r, opened) || !read_id_set(r, aborted)) return false;
   const uint64_t delivered = r.u64();
   const uint64_t cleaned = r.u64();
-  std::vector<DeferredReveal> flush;
-  const uint32_t n_flush = r.u32();
-  for (uint32_t i = 0; i < n_flush && r.ok(); ++i) {
-    DeferredReveal d;
-    d.id = RequestId::read(r);
-    d.reply_seq = r.u64();
-    d.message = r.bytes();
-    const uint8_t state = r.u8();
-    if (state > static_cast<uint8_t>(DeferredReveal::State::kRejected)) {
-      return false;
-    }
-    d.state = static_cast<DeferredReveal::State>(state);
-    d.commitment = r.bytes();
-    d.opening = r.bytes();
-    flush.push_back(std::move(d));
-  }
-  if (!r.ok() || !r.done()) return false;
+  if (r.u32() != 0 || !r.ok() || !r.done()) return false;
   if (!service_->restore(service_blob)) return false;
   tentative_ = std::move(tentative);
   schedule_order_ = std::move(order);
@@ -485,18 +390,7 @@ bool Cp1ReplicaApp::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
   aborted_ = std::move(aborted);
   delivered_count_ = delivered;
   cleaned_count_ = cleaned;
-  reveal_flush_ = std::move(flush);
-  for (DeferredReveal& d : reveal_flush_) {
-    d.ticket = ++reveal_ticket_;
-    if (d.state == DeferredReveal::State::kPending) {
-      reveal_inflight_.insert(d.id);
-    }
-  }
   m_.tentative->set(static_cast<int64_t>(tentative_.size()));
-  // Execute the deferred run now, before the WAL replays any later
-  // delivery: the service must see exactly the pre-crash delivery order.
-  // Replies land in the reply cache; the wire sends are shielded.
-  flush_reveals(ctx, /*force=*/true);
   return true;
 }
 

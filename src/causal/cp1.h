@@ -62,9 +62,9 @@ class Cp1ReplicaApp : public bft::ReplicaApp {
   // Durability (DESIGN.md §13).  Unlike CP0, a CP1 reveal carries its
   // plaintext in the ordered payload, so replaying post-snapshot deliveries
   // re-runs executions exactly — no per-execution WAL records needed.  The
-  // snapshot carries the tentative/opened/aborted bookkeeping plus any
-  // deferred reveal-flush entries (delivered but unexecuted at snapshot
-  // time); restore force-resolves and executes those before WAL replay.
+  // snapshot carries the tentative/opened/aborted bookkeeping.  It is
+  // written after a batch's flush, so no verified reveal awaits execution
+  // at a snapshot point.
   Bytes serialize_state(bft::ReplicaContext& ctx) override;
   bool restore_state(BytesView blob, bft::ReplicaContext& ctx) override;
 
@@ -83,35 +83,19 @@ class Cp1ReplicaApp : public bft::ReplicaApp {
     uint64_t scheduled_at_count = 0;  // value of delivered_count_ when scheduled
   };
 
-  /// One reveal whose opening check rides the worker pool and whose
-  /// execution is deferred to the batch flush.  Entries enter in delivery
-  /// order as kPending and resolve in place (possibly out of order); the
-  /// flush executes the resolved prefix, preserving delivery order.
+  /// A verified reveal whose execution waits for the batch flush.
   struct DeferredReveal {
     RequestId id;
-    uint64_t ticket = 0;     // matches a pool continuation to ITS entry
     uint64_t reply_seq = 0;  // client_seq of the reveal request (reply key)
     Bytes message;
-    enum class State : uint8_t { kPending, kValid, kRejected };
-    State state = State::kPending;
-    // Opening inputs, retained while kPending so a forced flush can resolve
-    // the check inline when the pool job has not landed yet.
-    Bytes commitment;
-    Bytes opening;
   };
 
   void deliver_schedule(const bft::Request& req, bft::ReplicaContext& ctx);
   void deliver_reveal(const bft::Request& req, bft::ReplicaContext& ctx);
   void deliver_cleanup(const bft::Request& req, bft::ReplicaContext& ctx);
-  /// Applies an opening verdict to a kPending flush entry: the protocol
-  /// side effects of a delivered reveal (opened_/tentative_/metrics/trace).
-  void resolve_reveal(DeferredReveal& d, bool ok, bft::ReplicaContext& ctx);
-  /// Executes and replies to the RESOLVED prefix of the deferred reveals in
-  /// delivery order (DESIGN.md §10: consecutive reveals in one BFT batch
-  /// flush together).  `force` resolves still-pending entries inline first
-  /// — required before any non-reveal delivery executes, so the service
-  /// sees exactly the delivery order.
-  void flush_reveals(bft::ReplicaContext& ctx, bool force = false);
+  /// Executes and replies to the deferred reveals in delivery order
+  /// (DESIGN.md §10: consecutive reveals in one BFT batch flush together).
+  void flush_reveals(bft::ReplicaContext& ctx);
   void maybe_propose_cleanup(bft::ReplicaContext& ctx);
   void arm_amplification(const RequestId& id, uint64_t reveal_seq,
                          const Bytes& reveal_payload, bft::ReplicaContext& ctx);
@@ -129,17 +113,7 @@ class Cp1ReplicaApp : public bft::ReplicaApp {
   std::unordered_set<RequestId> cleanup_inflight_;
   uint64_t delivered_count_ = 0;              // requests delivered in order
   uint64_t cleaned_count_ = 0;
-  std::vector<DeferredReveal> reveal_flush_;  // delivery order; see above
-  // Reveal ids with an opening check in flight on the pool: a duplicate
-  // reveal for one of these is dropped exactly like an opened_ duplicate.
-  std::unordered_set<RequestId> reveal_inflight_;
-  // A flush point passed while entries were still pending: the next landing
-  // continuation flushes the freshly resolved prefix.
-  bool flush_armed_ = false;
-  // Ticket source for DeferredReveal: a continuation whose entry was already
-  // force-resolved (and possibly replaced by a retry) must not apply its
-  // verdict to the newer entry, so matching by id alone is not enough.
-  uint64_t reveal_ticket_ = 0;
+  std::vector<DeferredReveal> reveal_flush_;  // delivery order
 
   struct {
     obs::Counter* scheduled = nullptr;
