@@ -312,7 +312,9 @@ void Cp1ReplicaApp::on_causal_message(NodeId from, BytesView body,
 // Durability (DESIGN.md §13)
 
 namespace {
-constexpr uint32_t kCp1StateVersion = 1;
+// Version 2 dropped the deferred-reveal list: a snapshot is written after
+// the batch flush, so that list was always empty.
+constexpr uint32_t kCp1StateVersion = 2;
 
 void write_id_set(Writer& w, const std::unordered_set<RequestId>& set) {
   std::vector<RequestId> ids(set.begin(), set.end());
@@ -350,9 +352,6 @@ Bytes Cp1ReplicaApp::serialize_state(bft::ReplicaContext& /*ctx*/) {
   // those ids when the client retransmits its reveal.
   w.u64(delivered_count_);
   w.u64(cleaned_count_);
-  // The deferred-reveal count this format kept: always zero, because a
-  // snapshot is written after the batch flush.
-  w.u32(0);
   return std::move(w).take();
 }
 
@@ -382,7 +381,7 @@ bool Cp1ReplicaApp::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
   if (!read_id_set(r, opened) || !read_id_set(r, aborted)) return false;
   const uint64_t delivered = r.u64();
   const uint64_t cleaned = r.u64();
-  if (r.u32() != 0 || !r.ok() || !r.done()) return false;
+  if (!r.ok() || !r.done()) return false;
   if (!service_->restore(service_blob)) return false;
   tentative_ = std::move(tentative);
   schedule_order_ = std::move(order);

@@ -269,7 +269,7 @@ TEST(DeterminismTest, MatchesPinnedFingerprint) {
       {"CP0-batched", Protocol::kCp0, Engine::kPbftEngine, 4, 2,
        "8671c73cd58e929c1a2679c23999d14f0225e7cbf7f4cb26bf47a3b182af79ea"},
       {"CP1", Protocol::kCp1, Engine::kPbftEngine, 1, 1,
-       "5b061e460a48a4b728377634f094fdd487166c809245f0423f98a363e99b0036"},
+       "d1fcd52764741235cb65823ff2a5c290f429d2faa198da7be2a8f31a999f94ea"},
       {"CP2", Protocol::kCp2, Engine::kPbftEngine, 1, 1,
        "33cc41a50e641ea7abab5e8eb6cc421b427a368ee871b0f3c4daea66719b4120"},
       {"CP3", Protocol::kCp3, Engine::kPbftEngine, 1, 1,
