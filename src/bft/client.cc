@@ -31,8 +31,8 @@ bool ReplyQuorum::add(NodeId replica, const ReplyMsg& reply) {
 
 // One operation slot.  Every ClientContext capability forwards to the
 // shared node (one sequential executor, one rng, one seq counter); only
-// complete() is slot-scoped, so a finishing protocol frees exactly its own
-// slot.
+// complete() and the seq a reply is routed by are slot-scoped, so a
+// finishing protocol frees exactly its own slot.
 struct Client::Slot final : ClientContext {
   Slot(Client& client, ClientProtocol* p) : c(client), protocol(p) {}
   Slot(Client& client, std::unique_ptr<ClientProtocol> p)
@@ -42,6 +42,7 @@ struct Client::Slot final : ClientContext {
   const BftConfig& config() const override { return c.config_; }
   host::Time now() const override { return c.now(); }
   void send_request(uint64_t client_seq, Bytes payload) override {
+    sent_seq = client_seq;
     const Bytes body = request_body(client_seq, std::move(payload));
     for (NodeId r = 0; r < c.config_.n; ++r) {
       charge(Op::kMsgOverhead, 0);
@@ -52,6 +53,7 @@ struct Client::Slot final : ClientContext {
   }
   void send_request_to(NodeId replica, uint64_t client_seq,
                        Bytes payload) override {
+    sent_seq = client_seq;
     const Bytes body = request_body(client_seq, std::move(payload));
     charge(Op::kMac, body.size());
     c.send_raw(replica, seal_envelope(c.keys_, Channel::kClientRequest, id(),
@@ -82,6 +84,9 @@ struct Client::Slot final : ClientContext {
   ClientProtocol* protocol;
   bool in_flight = false;
   uint64_t seq = 0;
+  // The client_seq of the last request sent (CP1's reveal takes a second
+  // one): replies for it are this slot's.
+  uint64_t sent_seq = 0;
   uint64_t index_base = 0;  // first logical-op index carried by this slot
   uint32_t logical = 1;     // logical payloads packed into the operation
   Bytes op;
@@ -272,21 +277,22 @@ void Client::on_message(NodeId /*from*/, BytesView msg) {
   auto env = open_envelope(keys_, id(), msg);
   if (!env) return;
 
-  // Fan out to every in-flight slot: each slot's ReplyQuorum filters by its
-  // own client_seq, so only the owning slot counts a reply.
   switch (env->channel) {
     case Channel::kReply: {
       auto reply = ReplyMsg::parse(env->body);
       if (!reply || reply->replica != env->sender) return;
       if (env->sender >= config_.n) return;
+      // Only the in-flight slot that sent this client_seq counts the reply.
       for (auto& slot : slots_) {
-        if (slot->in_flight) {
+        if (slot->in_flight && slot->sent_seq == reply->client_seq) {
           slot->protocol->on_reply(env->sender, *reply, *slot);
+          break;
         }
       }
       break;
     }
     case Channel::kCausal:
+      // Not keyed by a seq the client knows: every in-flight slot sees it.
       for (auto& slot : slots_) {
         if (slot->in_flight) {
           slot->protocol->on_causal_message(env->sender, env->body, *slot);

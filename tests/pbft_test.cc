@@ -224,6 +224,65 @@ TEST(Pbft, ClientRefusesSetPipelineAfterAnOperation) {
   EXPECT_EQ(client.completed_ops(), 2u);
 }
 
+// Forwards to a slot's protocol and counts the replies it is handed.
+class ReplyCounter final : public bft::ClientProtocol {
+ public:
+  ReplyCounter(std::unique_ptr<bft::ClientProtocol> inner, uint64_t& calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+
+  void start(uint64_t client_seq, BytesView op,
+             bft::ClientContext& ctx) override {
+    inner_->start(client_seq, op, ctx);
+  }
+  void on_reply(NodeId replica, const bft::ReplyMsg& reply,
+                bft::ClientContext& ctx) override {
+    ++calls_;
+    inner_->on_reply(replica, reply, ctx);
+  }
+  void on_causal_message(NodeId from, BytesView body,
+                         bft::ClientContext& ctx) override {
+    inner_->on_causal_message(from, body, ctx);
+  }
+  void on_retransmit(bft::ClientContext& ctx) override {
+    inner_->on_retransmit(ctx);
+  }
+
+ private:
+  std::unique_ptr<bft::ClientProtocol> inner_;
+  uint64_t& calls_;
+};
+
+TEST(Pbft, PipelinedClientHandsEachReplyToTheSlotThatSentIt) {
+  constexpr uint64_t kOps = 256;
+  for (const Protocol protocol : {Protocol::kPbft, Protocol::kCp3}) {
+    SCOPED_TRACE(protocol_name(protocol));
+    auto opts = base_options();
+    opts.protocol = protocol;
+    Cluster cluster(opts);
+    bft::Client& client = cluster.client(0);
+    uint64_t calls = 0;
+    client.set_pipeline(
+        [protocol, &calls] {
+          StackContext ctx;
+          ctx.protocol = protocol;
+          return std::make_unique<ReplyCounter>(make_client_protocol(ctx),
+                                                calls);
+        },
+        /*inflight=*/32, /*batch=*/1);
+    client.run_closed_loop(
+        [](uint64_t i) { return to_bytes("op" + std::to_string(i)); }, kOps);
+    const host::Time stop_at = cluster.sim().now() + 60 * kSecond;
+    cluster.sim().run_while([&] {
+      return client.completed_ops() >= kOps || cluster.sim().now() >= stop_at;
+    });
+    ASSERT_EQ(client.completed_ops(), kOps);
+    // One call per replica's reply at most; handing every reply to every
+    // in-flight slot made this grow with the window.
+    EXPECT_LE(calls, cluster.n() * kOps);
+    EXPECT_GE(calls, (opts.bft.f + 1) * kOps);
+  }
+}
+
 TEST(Pbft, LanProfileLatencyIsSubMillisecond) {
   auto opts = base_options();
   opts.profile = sim::NetworkProfile::lan();
