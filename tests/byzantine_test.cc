@@ -217,6 +217,53 @@ TEST(Byzantine, Cp1ForgedOpeningRejected) {
   }
 }
 
+// A reveal ordered without admission meets CP1's opening check only at
+// delivery: a Byzantine primary can skip its own check, and backups never
+// validate pre-prepared requests.  Every replica must reject the forged
+// opening there, keep the request tentative and execute nothing.
+TEST(Byzantine, Cp1ForgedOpeningFromPrimaryIsRejectedAtDelivery) {
+  auto opts = byz_options();
+  opts.protocol = Protocol::kCp1;
+  opts.num_clients = 2;
+  Cluster cluster(opts);
+  auto& proto = dynamic_cast<Cp1ClientProtocol&>(cluster.client_protocol(0));
+  proto.set_crash_before_reveal(true);  // schedules seq 1, never reveals
+  cluster.client(0).submit(apps::KvStore::put("hidden", to_bytes("op")));
+  cluster.sim().run_until(cluster.sim().now() + 50 * kMillisecond);
+
+  Writer w;
+  w.u8(static_cast<uint8_t>(Cp1Phase::kReveal));
+  RequestId{Cluster::client_id(0), 1}.write(w);
+  w.bytes(apps::KvStore::put("guessed", to_bytes("op")));
+  w.bytes(Bytes(32, 0x11));  // bogus opening
+  cluster.replica(0).admit_foreign_request(Cluster::client_id(0), 2,
+                                           std::move(w).take());
+  cluster.sim().run_until(cluster.sim().now() + 50 * kMillisecond);
+
+  for (uint32_t i = 0; i < cluster.n(); ++i) {
+    EXPECT_EQ(cluster.replica_metrics(i).counter_value("cp1.openings_rejected"),
+              1u)
+        << "replica " << i;
+    EXPECT_EQ(cluster.replica_metrics(i).counter_value("cp1.opened"), 0u)
+        << "replica " << i;
+    auto& app = dynamic_cast<Cp1ReplicaApp&>(cluster.replica_app(i));
+    EXPECT_EQ(app.tentative_count(), 1u) << "replica " << i;
+    EXPECT_EQ(dynamic_cast<apps::KvStore&>(cluster.service(i)).size(), 0u)
+        << "replica " << i;
+  }
+
+  // The rejected reveal blocks nobody: another client's op completes.
+  const auto result = cluster.run_one(
+      1, apps::KvStore::put("k", to_bytes("v")), 10 * kSecond);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(*result, to_bytes("ok"));
+  cluster.sim().run_until(cluster.sim().now() + 50 * kMillisecond);
+  for (uint32_t i = 0; i < cluster.n(); ++i) {
+    auto& kv = dynamic_cast<apps::KvStore&>(cluster.service(i));
+    EXPECT_EQ(kv.size(), 1u) << "replica " << i;
+  }
+}
+
 // CP0 under a share-flooding adversary: a Byzantine replica broadcasts
 // decryption shares for RequestIds that never existed.  Regression for the
 // unbounded-pending bug, where every such message created a PendingReveal
