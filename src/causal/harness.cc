@@ -223,7 +223,6 @@ StackContext Cluster::stack_context() const {
   ctx.cp1 = options_.cp1;
   ctx.arss2_mode = options_.arss2_mode;
   ctx.cp0_modeled = options_.cp0_modeled;
-  ctx.per_node_lagrange_cache = options_.runtime == RuntimeKind::kThreads;
   return ctx;
 }
 

@@ -74,12 +74,9 @@ std::unique_ptr<Cp0Backend> make_cp0_backend(
   std::optional<threshenc::Tdh2KeyShare> key;
   if (replica_index) key = tdh2.shares.at(*replica_index);
   threshenc::Tdh2PublicKey pk = tdh2.pk;
-  if (ctx.per_node_lagrange_cache && pk.lagrange_cache) {
-    // The Lagrange-coefficient cache is mutable and documented
-    // single-threaded; when nodes run on separate threads each backend
-    // gets its own instance instead of sharing one.
-    pk.lagrange_cache = std::make_shared<threshenc::Tdh2LagrangeCache>();
-  }
+  // The Lagrange-coefficient cache is mutable and single-threaded, and
+  // nodes may run on separate threads: each backend gets its own.
+  pk.lagrange_cache = std::make_shared<threshenc::Tdh2LagrangeCache>();
   return std::make_unique<RealTdh2Backend>(std::move(pk), std::move(key));
 }
 

@@ -96,11 +96,6 @@ struct StackContext {
   /// CP0: substitute the calibrated-cost oracle for real TDH2 (throughput
   /// sweeps only; never set by the daemon).
   bool cp0_modeled = false;
-  /// CP0: give each backend its own Lagrange-coefficient cache.  Required
-  /// whenever different nodes' backends run on different threads (the
-  /// threaded runtime, the daemon); the cache is documented
-  /// single-threaded.
-  bool per_node_lagrange_cache = false;
 };
 
 /// CP0 threshold backend for one node; `replica_index` selects the key

@@ -49,8 +49,6 @@ causal::StackContext StackBundle::context() const {
   ctx.protocol = cfg_.protocol;
   ctx.material = &material_;
   ctx.bft = cfg_.bft;
-  // Daemon nodes always run on real threads.
-  ctx.per_node_lagrange_cache = true;
   return ctx;
 }
 
