@@ -19,6 +19,15 @@ namespace scab::chaos {
 
 namespace {
 
+constexpr uint32_t kF = 1;
+constexpr uint32_t kNumClients = 2;
+// Recovery-friendly protocol tuning: restarts exercise the checkpoint
+// catch-up quickly, not after 64 requests.
+constexpr uint64_t kCheckpointInterval = 8;
+constexpr host::Time kRequestTimeout = 400 * host::kMillisecond;
+constexpr host::Time kWatchdogPeriod = 100 * host::kMillisecond;
+constexpr host::Time kClientRetry = 250 * host::kMillisecond;
+
 uint64_t link_key(host::NodeId a, host::NodeId b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
@@ -191,7 +200,7 @@ const char* fault_kind_name(FaultKind k) {
 std::vector<ChaosEvent> generate_schedule(uint64_t seed,
                                           const ChaosOptions& opt) {
   crypto::Drbg rng(causal::seed_label(seed, "chaos-schedule"));
-  const uint32_t n = 3 * opt.f + 1;
+  const uint32_t n = 3 * kF + 1;
   std::vector<ChaosEvent> out;
 
   // Faults fire inside [10%, 80%] of the horizon; a forced restart of any
@@ -227,7 +236,7 @@ std::vector<ChaosEvent> generate_schedule(uint64_t seed,
 
     enum Pick : uint8_t { kPickCrash, kPickCut, kPickHeal, kPickDelay, kPickTamper };
     std::vector<std::pair<Pick, uint32_t>> table;
-    if (opt.allow_crash && !opt.full_restart && !crashed) {
+    if (!opt.full_restart && !crashed) {
       table.push_back({kPickCrash, 3});
     }
     table.push_back({kPickCut, 3});
@@ -330,11 +339,11 @@ ChaosReport run_chaos(uint64_t seed, const ChaosOptions& opt) {
   causal::ClusterOptions co;
   co.protocol = opt.protocol;
   co.runtime = opt.runtime;
-  co.bft = bft::BftConfig::for_f(opt.f);
-  co.bft.checkpoint_interval = opt.checkpoint_interval;
-  co.bft.request_timeout = opt.request_timeout;
-  co.bft.watchdog_period = opt.watchdog_period;
-  co.num_clients = opt.num_clients;
+  co.bft = bft::BftConfig::for_f(kF);
+  co.bft.checkpoint_interval = kCheckpointInterval;
+  co.bft.request_timeout = kRequestTimeout;
+  co.bft.watchdog_period = kWatchdogPeriod;
+  co.num_clients = kNumClients;
   co.seed = seed;
   co.durability = opt.durability;
   co.data_dir = opt.data_dir;
@@ -345,9 +354,9 @@ ChaosReport run_chaos(uint64_t seed, const ChaosOptions& opt) {
   // execution logs identify requests and the secrecy scan has 32 bytes that
   // cannot occur on the wire by chance.
   crypto::Drbg mrng(causal::seed_label(seed, "chaos-markers"));
-  std::vector<std::vector<Bytes>> ops(opt.num_clients);
+  std::vector<std::vector<Bytes>> ops(kNumClients);
   auto hook = std::make_shared<HookState>();
-  for (uint32_t ci = 0; ci < opt.num_clients; ++ci) {
+  for (uint32_t ci = 0; ci < kNumClients; ++ci) {
     for (uint32_t k = 0; k < opt.ops_per_client; ++k) {
       ops[ci].push_back(mrng.generate(32));
       hook->markers.push_back(ops[ci].back());
@@ -381,12 +390,12 @@ ChaosReport run_chaos(uint64_t seed, const ChaosOptions& opt) {
         return out;
       });
 
-  for (uint32_t ci = 0; ci < opt.num_clients; ++ci) {
-    cluster.client(ci).set_retry_timeout(opt.client_retry);
+  for (uint32_t ci = 0; ci < kNumClients; ++ci) {
+    cluster.client(ci).set_retry_timeout(kClientRetry);
   }
 
   const uint64_t expected =
-      static_cast<uint64_t>(opt.num_clients) * opt.ops_per_client;
+      static_cast<uint64_t>(kNumClients) * opt.ops_per_client;
   host::Time first_after_heal = 0;
 
   // Kick off every client's paced workload; think gaps average the horizon
@@ -394,7 +403,7 @@ ChaosReport run_chaos(uint64_t seed, const ChaosOptions& opt) {
   crypto::Drbg trng(causal::seed_label(seed, "chaos-think"));
   const uint64_t gap_bound =
       std::max<uint64_t>(1, 2 * opt.horizon / std::max(1u, opt.ops_per_client));
-  for (uint32_t ci = 0; ci < opt.num_clients; ++ci) {
+  for (uint32_t ci = 0; ci < kNumClients; ++ci) {
     auto w = std::make_shared<PacedWorkload>();
     w->cluster = &cluster;
     w->client = &cluster.client(ci);

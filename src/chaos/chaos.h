@@ -57,15 +57,13 @@ struct ChaosEvent {
   bool operator==(const ChaosEvent&) const = default;
 };
 
+/// Every run has f = 1 (n = 4), two clients, and protocol timers tuned
+/// for quick recovery (chaos.cc).
 struct ChaosOptions {
   causal::Protocol protocol = causal::Protocol::kPbft;
   causal::RuntimeKind runtime = causal::RuntimeKind::kSim;
-  uint32_t f = 1;
-  uint32_t num_clients = 2;
   uint32_t ops_per_client = 6;
   uint32_t num_faults = 6;
-  /// Generate crash/restart events (off for pure partition/delay drills).
-  bool allow_crash = true;
   /// Fault window: every generated fault fires inside it and the terminal
   /// heal-all lands exactly on it.
   host::Time horizon = 2 * host::kSecond;
@@ -83,13 +81,6 @@ struct ChaosOptions {
   causal::ClusterOptions::Durability durability =
       causal::ClusterOptions::Durability::kNone;
   std::string data_dir;  // Durability::kFile only
-
-  // Recovery-friendly protocol tuning (chaos runs want restarts to
-  // exercise the checkpoint catch-up quickly, not after 64 requests).
-  uint64_t checkpoint_interval = 8;
-  host::Time request_timeout = 400 * host::kMillisecond;
-  host::Time watchdog_period = 100 * host::kMillisecond;
-  host::Time client_retry = 250 * host::kMillisecond;
 };
 
 /// Deterministic: the same (seed, options) always yields the same schedule.
