@@ -312,8 +312,6 @@ void Cp1ReplicaApp::on_causal_message(NodeId from, BytesView body,
 // Durability (DESIGN.md §13)
 
 namespace {
-// Version 2 dropped the deferred-reveal list: a snapshot is written after
-// the batch flush, so that list was always empty.
 constexpr uint32_t kCp1StateVersion = 2;
 
 void write_id_set(Writer& w, const std::unordered_set<RequestId>& set) {

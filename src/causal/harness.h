@@ -92,9 +92,9 @@ struct ClusterOptions {
   /// completion on the submitting node's executor — the default, and the
   /// only behavior under kSim (SimHost always completes inline, so a sim
   /// run is bit-identical for every value of this knob).  Under kThreads
-  /// the pool is shared by all nodes on the host; verify-side crypto
-  /// (CP0 share verification, CP1 opens, CP2/CP3 reconstruction) runs on
-  /// pool threads with results marshalled back to each node's executor.
+  /// the pool is shared by all nodes on the host; CP0's TDH2 batch share
+  /// verification runs on pool threads with results marshalled back to
+  /// each node's executor.  Every other check runs on the executor.
   uint32_t worker_threads = 0;
 
   /// Async engine: the common-coin group (defaults to a small generated

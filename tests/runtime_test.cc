@@ -113,9 +113,10 @@ TEST_P(RuntimeEquivalence, SimAndThreadsDeliverTheSamePlaintexts) {
   }
 }
 
-// The same workload with a real crypto worker pool: reveal jobs run on pool
-// threads while new shares buffer behind the one job in flight per request
-// (DESIGN.md §12), the path every other test runs inline.
+// The same workload with a real crypto worker pool: CP0's share
+// verification runs on pool threads while new shares wait behind the one
+// job in flight per request (DESIGN.md §12), the path every other test runs
+// inline.  The other protocols use no pool, so theirs must match too.
 TEST_P(RuntimeEquivalence, PoolThreadsDeliverTheSamePlaintexts) {
   const std::vector<Bytes> sim = run_workload(RuntimeKind::kSim, GetParam());
   const std::vector<Bytes> pooled =
