@@ -118,7 +118,10 @@ TEST(Determinism, AsyncEngineIsDeterministicToo) {
 // ---------------------------------------------------------------------------
 // Pinned fingerprints: a refactor that claims to leave the simulator's
 // output alone must reproduce these digests exactly.  A change that alters
-// the protocol on purpose re-pins them and says so in CHANGES.md.
+// the protocol on purpose re-pins them and says so in CHANGES.md.  Each
+// case pins two digests: the full one, and a behaviour digest of the same
+// run without the storage bytes, which a change of the on-disk format alone
+// leaves in place.
 
 struct FingerprintCase {
   const char* name;
@@ -126,7 +129,13 @@ struct FingerprintCase {
   Engine engine;
   uint32_t client_batch;
   uint32_t client_inflight;
-  const char* digest;  // hex SHA-256
+  const char* digest;     // hex SHA-256 over everything below
+  const char* behaviour;  // the same, without the storage bytes
+};
+
+struct Fingerprint {
+  std::string digest;
+  std::string behaviour;
 };
 
 // Metric prefix of the protocols with a reveal step after delivery.
@@ -160,8 +169,9 @@ void mix_bytes(crypto::Sha256& h, BytesView b) {
 // caches), and a full-cluster crash recovers every replica from storage.
 // The digest covers every reply, the virtual time after each phase, the
 // clients' total latency, the event and message counts, and each replica's
-// storage: blobs sorted by key, then the WAL records.
-std::string fingerprint(const FingerprintCase& c, obs::MetricsRegistry* merged) {
+// storage: blobs sorted by key, then the WAL records.  The behaviour digest
+// stops before the storage.
+Fingerprint fingerprint(const FingerprintCase& c, obs::MetricsRegistry* merged) {
   ClusterOptions opts;
   opts.protocol = c.protocol;
   opts.engine = c.engine;
@@ -242,6 +252,7 @@ std::string fingerprint(const FingerprintCase& c, obs::MetricsRegistry* merged) 
                  cluster.client(1).total_latency());
   mix_u64(h, sim.events_processed());
   mix_u64(h, cluster.net().messages_sent());
+  crypto::Sha256 behaviour = h;
   for (uint32_t i = 0; i < cluster.n(); ++i) {
     auto* disk = dynamic_cast<host::MemStorage*>(cluster.host().storage(i));
     if (disk == nullptr) {
@@ -256,30 +267,42 @@ std::string fingerprint(const FingerprintCase& c, obs::MetricsRegistry* merged) 
     disk->replay([&h](BytesView rec) { mix_bytes(h, rec); });
   }
   if (merged != nullptr) *merged = cluster.merged_metrics();
-  const auto digest = h.digest();
-  return hex_encode(BytesView(digest.data(), digest.size()));
+  const auto hex = [](crypto::Sha256& hasher) {
+    const auto digest = hasher.digest();
+    return hex_encode(BytesView(digest.data(), digest.size()));
+  };
+  return {hex(h), hex(behaviour)};
 }
 
 TEST(DeterminismTest, MatchesPinnedFingerprint) {
   const FingerprintCase kCases[] = {
       {"PBFT", Protocol::kPbft, Engine::kPbftEngine, 1, 1,
-       "335ea130af66e719f3d047bf045d881bb92d3424aae6091b53525552bd5600c6"},
+       "335ea130af66e719f3d047bf045d881bb92d3424aae6091b53525552bd5600c6",
+       "23695a7142a43f0dbc7fbdfb8d4cbedf2872db96897ed6c3d66ab3cef6bebe3d"},
       {"CP0", Protocol::kCp0, Engine::kPbftEngine, 1, 1,
-       "07a60bc9656eee87c2a850a5b30d6c40a0d0d85e0a00eb939028fe99207f60d6"},
+       "07a60bc9656eee87c2a850a5b30d6c40a0d0d85e0a00eb939028fe99207f60d6",
+       "61801277548157f569dc937330b63b0397a318209f2de7fbf4f0624e20e87edd"},
       {"CP0-batched", Protocol::kCp0, Engine::kPbftEngine, 4, 2,
-       "8671c73cd58e929c1a2679c23999d14f0225e7cbf7f4cb26bf47a3b182af79ea"},
+       "8671c73cd58e929c1a2679c23999d14f0225e7cbf7f4cb26bf47a3b182af79ea",
+       "6b0c800228b123e815a2a4b31b03d8b5cf9f9e8c40066244f4826e68b6b2e9a8"},
       {"CP1", Protocol::kCp1, Engine::kPbftEngine, 1, 1,
-       "d1fcd52764741235cb65823ff2a5c290f429d2faa198da7be2a8f31a999f94ea"},
+       "d1fcd52764741235cb65823ff2a5c290f429d2faa198da7be2a8f31a999f94ea",
+       "b4bcd2d4b248d08f03e1e77689f55913e33ad79191bac75208b3e7d6aa5504f3"},
       {"CP2", Protocol::kCp2, Engine::kPbftEngine, 1, 1,
-       "33cc41a50e641ea7abab5e8eb6cc421b427a368ee871b0f3c4daea66719b4120"},
+       "33cc41a50e641ea7abab5e8eb6cc421b427a368ee871b0f3c4daea66719b4120",
+       "cb0518f873b9df92fa864f5bec8e4c08c826c1d8d6560e846f5ce292d6e52c3a"},
       {"CP3", Protocol::kCp3, Engine::kPbftEngine, 1, 1,
-       "a3b009b617bd1ff3794bced0616d2959a9b86a1bb59c655b4191e2ca878c6801"},
+       "a3b009b617bd1ff3794bced0616d2959a9b86a1bb59c655b4191e2ca878c6801",
+       "b19aa1d49868f6cbf80432f45374d41f3e0993f35b9efabcec24683d1b6d6579"},
       {"CP2-async", Protocol::kCp2, Engine::kAsyncEngine, 1, 1,
-       "b77241687747a8dd0e40e4153cbdfe77cba26013f13a62dc33d080b0af740a95"},
+       "b77241687747a8dd0e40e4153cbdfe77cba26013f13a62dc33d080b0af740a95",
+       "463ee35c1cb4a59ef6420a58836a95d107f8fd0504dc1fee1284a4983ea4e038"},
   };
   for (const FingerprintCase& c : kCases) {
     obs::MetricsRegistry merged;
-    EXPECT_EQ(fingerprint(c, &merged), c.digest) << c.name;
+    const Fingerprint fp = fingerprint(c, &merged);
+    EXPECT_EQ(fp.behaviour, c.behaviour) << c.name;
+    EXPECT_EQ(fp.digest, c.digest) << c.name;
     if (c.engine != Engine::kPbftEngine) continue;
     // The restart schedule must keep driving the paths it exists to pin.
     const std::string proto = reveal_prefix(c.protocol);
