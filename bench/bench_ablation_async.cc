@@ -17,7 +17,8 @@ int main() {
   using causal::Engine;
   using causal::Protocol;
 
-  const sim::CostModel costs = calibrate_costs(crypto::ModGroup::modp_1024(), 1);
+  const host::CostModel costs =
+      calibrate_costs(crypto::ModGroup::modp_1024(), 1);
 
   print_header("Ablation — causal protocols on PBFT vs async BFT (LAN, f=1)",
                "latency ms and overhead relative to each engine's baseline; "

@@ -8,7 +8,8 @@ int main() {
   using namespace scab;
   using namespace scab::bench;
 
-  const sim::CostModel costs = calibrate_costs(crypto::ModGroup::modp_1024(), 1);
+  const host::CostModel costs =
+      calibrate_costs(crypto::ModGroup::modp_1024(), 1);
   print_header("Ablation — throughput vs max batch size (LAN, f=1, 40 clients)",
                "requests/s");
   print_row({"max_batch", "PBFT", "CP2"});

@@ -26,7 +26,7 @@ int main() {
 
   for (auto& gc : cases) {
     const ThreshEncProfile p = profile_threshenc(gc.group, 1, 4);
-    const sim::CostModel costs = calibrate_costs(gc.group, 1);
+    const host::CostModel costs = calibrate_costs(gc.group, 1);
     auto opts = latency_options(causal::Protocol::kCp0, 1,
                                 sim::NetworkProfile::lan(), costs);
     opts.group = gc.group;

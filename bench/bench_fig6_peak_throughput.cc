@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
                  Protocol::kCp2, Protocol::kCp3}) {
     std::vector<std::string> row{causal::protocol_name(p)};
     for (uint32_t f = 1; f <= f_max; ++f) {
-      const sim::CostModel costs =
+      const host::CostModel costs =
           calibrate_costs(crypto::ModGroup::modp_1024(), f);
       double peak = 0;
       for (uint32_t clients : client_counts) {

@@ -23,7 +23,8 @@ using sim::kMillisecond;
 using sim::kSecond;
 
 void run_timeline(uint32_t clients, bool json) {
-  const sim::CostModel costs = calibrate_costs(crypto::ModGroup::modp_1024(), 1);
+  const host::CostModel costs =
+      calibrate_costs(crypto::ModGroup::modp_1024(), 1);
   causal::ClusterOptions opts;
   opts.protocol = causal::Protocol::kCp1;
   opts.bft = bft::BftConfig::for_f(1);

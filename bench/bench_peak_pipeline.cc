@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
   const uint32_t f = 1;
   const uint32_t clients = 8;
   const std::size_t request_bytes = 4096;
-  const sim::CostModel costs = calibrate_costs(crypto::ModGroup::modp_1024(), f);
+  const host::CostModel costs =
+      calibrate_costs(crypto::ModGroup::modp_1024(), f);
 
   if (!json) {
     print_header(

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   opts.cp0_modeled = true;  // oracle backend: no real exponentiations
   opts.bft = bft::BftConfig::for_f(1);
   opts.profile = sim::NetworkProfile::lan();
-  opts.costs = sim::CostModel::zero();  // virtual time from the network only
+  opts.costs = host::CostModel::zero();  // virtual time from the network only
   opts.seed = 7;
 
   std::string obs;

@@ -30,7 +30,7 @@ struct RecoveryCell {
 // certificate tells the reborn replica it is behind.
 RecoveryCell run_recovery_drill(causal::Protocol protocol, uint32_t f,
                                 sim::NetworkProfile profile,
-                                const sim::CostModel& costs,
+                                const host::CostModel& costs,
                                 std::string* obs_fields = nullptr) {
   auto opts = latency_options(protocol, f, profile, costs);
   // Low watermark interval so the drill recovers within a handful of
@@ -92,7 +92,7 @@ void run_table4(bool json) {
   for (auto protocol : protocols) {
     std::vector<std::string> row{causal::protocol_name(protocol)};
     for (uint32_t f = 1; f <= 3; ++f) {
-      const sim::CostModel costs =
+      const host::CostModel costs =
           calibrate_costs(crypto::ModGroup::modp_1024(), f);
       if (json) {
         auto opts = latency_options(protocol, f, profile, costs);

@@ -18,8 +18,8 @@ namespace scab::bench {
 
 using causal::Cluster;
 using causal::ClusterOptions;
-using sim::CostModel;
-using sim::Op;
+using host::CostModel;
+using host::Op;
 using sim::SimTime;
 
 namespace {
@@ -227,7 +227,7 @@ CostModel calibrate_costs(const crypto::ModGroup& group, uint32_t f) {
   m.set(Op::kTdh2ShareDec, ms_price(t.share_decrypt_ms));
   m.set(Op::kTdh2VerifyShare, ms_price(t.verify_share_ms));
   // Fit the batch price from the k=4 and k=16 measurements.  CONVENTION
-  // (sim/cost_model.h): charged with bytes = k·1024, so per_byte holds the
+  // (host/cost_model.h): charged with bytes = k·1024, so per_byte holds the
   // per-share amortized ns and fixed the batch-constant part.
   {
     const double per_share_ns =

@@ -2,7 +2,7 @@
 //
 // Every benchmark binary follows the same recipe (DESIGN.md §3):
 //   1. CALIBRATE — measure the real cryptographic implementations on this
-//      machine (wall clock) and build a sim::CostModel from the results.
+//      machine (wall clock) and build a host::CostModel from the results.
 //   2. SIMULATE — run the full protocol stack on the deterministic
 //      simulator with those costs charged into virtual time, under the
 //      paper's LAN/WAN network profiles and workloads.
@@ -23,7 +23,7 @@ namespace scab::bench {
 /// `group` is the threshold-cryptosystem group (pass modp_1024() for the
 /// paper configuration); TDH2 prices depend on f (combine interpolates f+1
 /// shares).  Symmetric prices are measured once and cached across calls.
-sim::CostModel calibrate_costs(const crypto::ModGroup& group, uint32_t f);
+host::CostModel calibrate_costs(const crypto::ModGroup& group, uint32_t f);
 
 /// Per-operation TDH2 measurements in milliseconds (Fig. 3's series).
 /// share_decrypt and combine are measured through the *preverified* entry

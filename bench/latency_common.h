@@ -11,7 +11,7 @@ namespace scab::bench {
 inline causal::ClusterOptions latency_options(causal::Protocol protocol,
                                               uint32_t f,
                                               sim::NetworkProfile profile,
-                                              const sim::CostModel& costs) {
+                                              const host::CostModel& costs) {
   causal::ClusterOptions o;
   o.protocol = protocol;
   o.bft = bft::BftConfig::for_f(f);
@@ -80,7 +80,7 @@ inline void run_latency_table(const char* title, sim::NetworkProfile profile,
   for (auto protocol : protocols) {
     std::vector<std::string> row{causal::protocol_name(protocol)};
     for (uint32_t f = 1; f <= 3; ++f) {
-      const sim::CostModel costs =
+      const host::CostModel costs =
           calibrate_costs(crypto::ModGroup::modp_1024(), f);
       auto opts = latency_options(protocol, f, profile, costs);
       const uint64_t requests = protocol == causal::Protocol::kCp0 ? 8 : 30;

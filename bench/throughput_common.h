@@ -16,7 +16,7 @@ namespace scab::bench {
 inline causal::ClusterOptions throughput_options(causal::Protocol protocol,
                                                  uint32_t f,
                                                  sim::NetworkProfile profile,
-                                                 const sim::CostModel& costs) {
+                                                 const host::CostModel& costs) {
   causal::ClusterOptions o;
   o.protocol = protocol;
   o.bft = bft::BftConfig::for_f(f);
@@ -34,7 +34,7 @@ inline causal::ClusterOptions throughput_options(causal::Protocol protocol,
 
 inline ThroughputResult sweep_point(causal::Protocol protocol, uint32_t f,
                                     sim::NetworkProfile profile,
-                                    const sim::CostModel& costs,
+                                    const host::CostModel& costs,
                                     uint32_t clients,
                                     std::string* obs_fields = nullptr) {
   auto opts = throughput_options(protocol, f, profile, costs);
@@ -85,7 +85,7 @@ inline void run_throughput_figure(const char* title, const char* figure_id,
     print_row(head);
   }
 
-  const sim::CostModel costs =
+  const host::CostModel costs =
       calibrate_costs(crypto::ModGroup::modp_1024(), f);
   for (uint32_t clients : client_counts) {
     std::vector<std::string> row{std::to_string(clients)};

@@ -21,7 +21,7 @@ double run_once(causal::Engine engine) {
   opts.bft = bft::BftConfig::for_f(1);
   opts.profile = sim::NetworkProfile::lan();
   opts.coin_group = crypto::ModGroup::modp_512();  // honest coin pricing
-  opts.costs = sim::CostModel::default_symmetric_era();
+  opts.costs = host::CostModel::default_symmetric_era();
   opts.service_factory = [] { return std::make_unique<apps::KvStore>(); };
   causal::Cluster cluster(opts);
 

@@ -21,8 +21,8 @@
 #include <unordered_set>
 
 #include "common/bytes.h"
+#include "host/cost_model.h"
 #include "obs/metrics.h"
-#include "sim/cost_model.h"
 #include "sim/simulator.h"
 
 namespace scab::sim {
@@ -49,7 +49,7 @@ class Node {
   /// Charges CPU time for work done inside the current handler. The node's
   /// processor stays busy accordingly and subsequent sends depart later.
   void charge(SimTime cost) { busy_until_ = std::max(busy_until_, sim_.now()) + cost; }
-  void charge(const CostModel& m, Op op, std::size_t bytes = 0) {
+  void charge(const host::CostModel& m, host::Op op, std::size_t bytes = 0) {
     charge(m.cost(op, bytes));
   }
 

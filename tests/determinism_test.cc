@@ -34,7 +34,7 @@ RunSignature run_stack(Protocol protocol, Engine engine, uint64_t seed,
   opts.engine = engine;
   opts.bft = bft::BftConfig::for_f(1);
   opts.profile = sim::NetworkProfile::lan();
-  opts.costs = sim::CostModel::default_symmetric_era();
+  opts.costs = host::CostModel::default_symmetric_era();
   opts.num_clients = 2;
   opts.seed = seed;
   opts.worker_threads = worker_threads;
@@ -178,7 +178,7 @@ Fingerprint fingerprint(const FingerprintCase& c, obs::MetricsRegistry* merged) 
   opts.bft = bft::BftConfig::for_f(1);
   opts.bft.checkpoint_interval = 4;
   opts.profile = sim::NetworkProfile::lan();
-  opts.costs = sim::CostModel::default_symmetric_era();
+  opts.costs = host::CostModel::default_symmetric_era();
   opts.num_clients = 2;
   opts.seed = 77;
   opts.durability = ClusterOptions::Durability::kMem;
