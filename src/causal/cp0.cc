@@ -713,15 +713,13 @@ void Cp0ReplicaApp::write_scheme(Writer& w, const Reveal& r) const {
   const auto& s = static_cast<const Tdh2State&>(*r.scheme);
   w.bytes(s.ciphertext);
   w.bytes(s.label);
-  w.u32(r.count);
 }
 
 std::unique_ptr<RevealEngine::SchemeState> Cp0ReplicaApp::read_scheme(
-    Reader& rd, Reveal& r) {
+    Reader& rd) {
   auto s = std::make_unique<Tdh2State>();
   s->ciphertext = rd.bytes();
   s->label = rd.bytes();
-  r.count = rd.u32();
   return s;
 }
 

@@ -260,9 +260,8 @@ class Cp0ReplicaApp : public RevealEngine {
  public:
   Cp0ReplicaApp(std::unique_ptr<Service> service,
                 std::unique_ptr<Cp0Backend> backend)
-      : RevealEngine(std::move(service),
-                     {"cp0", Layout::kEnvelope, /*private_channels=*/false,
-                      /*client_deals=*/false}),
+      : RevealEngine(std::move(service), {"cp0", /*private_channels=*/false,
+                                          /*client_deals=*/false}),
         backend_(std::move(backend)) {}
 
   bool validate_request(bft::NodeId client, const bft::ClientRequestMsg& msg,
@@ -299,7 +298,7 @@ class Cp0ReplicaApp : public RevealEngine {
                   Bytes wire, bool fresh, bft::ReplicaContext& ctx) override;
   Bytes corrupt(BytesView wire) const override;
   void write_scheme(Writer& w, const Reveal& r) const override;
-  std::unique_ptr<SchemeState> read_scheme(Reader& rd, Reveal& r) override;
+  std::unique_ptr<SchemeState> read_scheme(Reader& rd) override;
   void bind_scheme_metrics(obs::MetricsRegistry& registry) override;
 
   /// Flushes the accumulated shares into a batch verification once they can

@@ -29,8 +29,7 @@ ArssReplicaApp::ArssReplicaApp(std::unique_ptr<Service> service,
                                std::optional<crypto::Commitment> commitment,
                                secretshare::Arss2Mode mode)
     : RevealEngine(std::move(service),
-                   {prefix, Layout::kSingle, /*private_channels=*/true,
-                    /*client_deals=*/true}),
+                   {prefix, /*private_channels=*/true, /*client_deals=*/true}),
       commitment_(std::move(commitment)),
       mode_(mode) {}
 
@@ -175,7 +174,7 @@ void ArssReplicaApp::write_scheme(Writer& w, const Reveal& r) const {
 }
 
 std::unique_ptr<RevealEngine::SchemeState> ArssReplicaApp::read_scheme(
-    Reader& rd, Reveal& /*r*/) {
+    Reader& rd) {
   auto s = std::make_unique<ArssState>();
   if (arss1()) s->commitment = rd.bytes();
   return s;

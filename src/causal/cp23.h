@@ -85,7 +85,7 @@ class ArssReplicaApp : public RevealEngine {
                   Bytes wire, bool fresh, bft::ReplicaContext& ctx) override;
   Bytes corrupt(BytesView wire) const override;
   void write_scheme(Writer& w, const Reveal& r) const override;
-  std::unique_ptr<SchemeState> read_scheme(Reader& rd, Reveal& r) override;
+  std::unique_ptr<SchemeState> read_scheme(Reader& rd) override;
   void bind_scheme_metrics(obs::MetricsRegistry& registry) override;
 
   const std::optional<crypto::Commitment> commitment_;  // CP2 only

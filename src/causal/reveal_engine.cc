@@ -10,7 +10,23 @@ using bft::NodeId;
 using host::Op;
 
 namespace {
-constexpr uint32_t kStateVersion = 1;
+constexpr uint32_t kStateVersion = 2;
+
+// The payload count and the plaintexts, as the kApp record and each pending
+// entry of the snapshot carry them.
+void write_payloads(Writer& w, uint32_t count,
+                    const std::vector<Bytes>& plaintexts) {
+  w.u32(count);
+  w.u32(static_cast<uint32_t>(plaintexts.size()));
+  for (const Bytes& pt : plaintexts) w.bytes(pt);
+}
+
+void read_payloads(Reader& rd, uint32_t& count,
+                   std::vector<Bytes>& plaintexts) {
+  count = rd.u32();
+  const uint32_t n = rd.u32();
+  for (uint32_t i = 0; i < n && rd.ok(); ++i) plaintexts.push_back(rd.bytes());
+}
 }  // namespace
 
 Bytes share_message(const RequestId& id, BytesView x) {
@@ -44,7 +60,7 @@ void RevealEngine::on_deliver(uint64_t /*seq*/, const bft::Request& req,
                               bft::ReplicaContext& ctx) {
   bind(ctx);
   const RequestId id{req.client, req.client_seq};
-  if (completed_.contains(id) || pending_.contains(id)) return;
+  if (pending_.contains(id)) return;
   auto scheme = admit(req.payload);
   if (!scheme) return;
   Reveal& r = pending_[id];
@@ -89,15 +105,17 @@ void RevealEngine::on_causal_message(NodeId from, BytesView body,
   if (!replica && !(options_.client_deals && from == id.client)) return;
   auto wire = open_share(id, from, std::move(x), body.size(), ctx);
   if (!wire) return;
-  if (completed_.contains(id)) {
+  // Pending first: a Byzantine client collapsing its own window must not
+  // make a delivered request drop its shares.
+  if (auto it = pending_.find(id); it != pending_.end()) {
+    take_share(id, it->second, from, std::move(*wire), /*fresh=*/true, ctx);
+    return;
+  }
+  if (auto wit = executed_.find(id.client);
+      wit != executed_.end() && wit->second.executed(id.seq)) {
     // Late share: the reveal already completed and executed.  Re-queueing
     // it would resurrect reveal state for a finished request without bound.
     m_.late_shares_dropped->inc();
-    return;
-  }
-  auto it = pending_.find(id);
-  if (it != pending_.end()) {
-    take_share(id, it->second, from, std::move(*wire), /*fresh=*/true, ctx);
     return;
   }
   // Not delivered yet.  A correct peer (or the client) can legitimately be
@@ -228,9 +246,9 @@ Bytes RevealEngine::execute(NodeId client, uint32_t count,
   return bft::encode_op_batch(results);
 }
 
-void RevealEngine::retire(const RequestId& id, PendingMap::iterator it) {
-  completed_.insert(id);
-  if (it == pending_.end()) return;
+void RevealEngine::retire(PendingMap::iterator it) {
+  const RequestId id = it->first;
+  executed_[id.client].mark(id.seq);
   if (!it->second.own_share.empty()) {
     if (completed_shares_.size() >= kMaxCompletedShareCache) {
       completed_shares_.erase(completed_shares_order_.front());
@@ -258,18 +276,12 @@ void RevealEngine::drain_execution(bft::ReplicaContext& ctx) {
     {
       Writer w;
       id.write(w);
-      if (options_.layout == Layout::kEnvelope) {
-        w.u32(r.count);
-        w.u32(static_cast<uint32_t>(r.plaintexts.size()));
-        for (const Bytes& pt : r.plaintexts) w.bytes(pt);
-      } else {
-        w.bytes(r.plaintexts.at(0));
-      }
+      write_payloads(w, r.count, r.plaintexts);
       ctx.wal_append(std::move(w).take());
     }
     Bytes result = execute(id.client, r.count, r.plaintexts, ctx);
     ctx.send_reply(id.client, id.seq, std::move(result));
-    retire(id, it);
+    retire(it);
     exec_queue_.pop_front();
   }
   m_.pending->set(static_cast<int64_t>(pending_.size()));
@@ -282,13 +294,15 @@ Bytes RevealEngine::serialize_state(bft::ReplicaContext& /*ctx*/) {
   Writer w;
   w.u32(kStateVersion);
   w.bytes(service_->serialize());
-  // Sets are sorted for a deterministic blob.  Transient reveal state —
-  // taken shares, in-flight pool jobs, early stashes — is deliberately
-  // dropped: the retry protocol rebuilds all of it.
-  std::vector<RequestId> completed(completed_.begin(), completed_.end());
-  std::sort(completed.begin(), completed.end());
-  w.u32(static_cast<uint32_t>(completed.size()));
-  for (const RequestId& id : completed) id.write(w);
+  // Windows (by client) and pending reveals (by id) are sorted for a
+  // deterministic blob.  Transient reveal state — taken shares, in-flight
+  // pool jobs, early stashes — is deliberately dropped: the retry protocol
+  // rebuilds all of it.
+  w.u32(static_cast<uint32_t>(executed_.size()));
+  for (const auto& [client, window] : executed_) {
+    w.u32(client);
+    window.serialize(w);
+  }
   // The own-share cache keeps its FIFO order, so post-restore eviction
   // continues where it left off.
   w.u32(static_cast<uint32_t>(completed_shares_order_.size()));
@@ -309,19 +323,9 @@ Bytes RevealEngine::serialize_state(bft::ReplicaContext& /*ctx*/) {
     const Reveal& r = pending_.at(id);
     id.write(w);
     write_scheme(w, r);
-    w.u32(id.client);
-    w.u64(id.seq);
-    w.u8(1);  // delivered: reveal state exists only for delivered requests
     w.u8(r.revealed ? 1 : 0);
-    if (options_.layout == Layout::kEnvelope) {
-      w.u32(static_cast<uint32_t>(r.plaintexts.size()));
-      for (const Bytes& pt : r.plaintexts) w.bytes(pt);
-      w.bytes(r.own_share);
-    } else {
-      w.bytes(r.plaintexts.empty() ? BytesView{} : BytesView(r.plaintexts[0]));
-      w.u8(r.own_share.empty() ? 0 : 1);
-      if (!r.own_share.empty()) w.bytes(r.own_share);
-    }
+    write_payloads(w, r.count, r.plaintexts);
+    w.bytes(r.own_share);
   }
   return std::move(w).take();
 }
@@ -332,10 +336,11 @@ bool RevealEngine::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
   Reader rd(blob);
   if (rd.u32() != kStateVersion) return false;
   const Bytes service_blob = rd.bytes();
-  std::unordered_set<RequestId> completed;
-  const uint32_t n_completed = rd.u32();
-  for (uint32_t i = 0; i < n_completed && rd.ok(); ++i) {
-    completed.insert(RequestId::read(rd));
+  std::map<NodeId, bft::ClientExecWindow> executed;
+  const uint32_t n_windows = rd.u32();
+  for (uint32_t i = 0; i < n_windows && rd.ok(); ++i) {
+    const NodeId client = rd.u32();
+    if (!executed[client].restore(rd)) return false;
   }
   std::unordered_map<RequestId, Bytes> completed_shares;
   std::deque<RequestId> completed_order;
@@ -355,31 +360,19 @@ bool RevealEngine::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
   for (uint32_t i = 0; i < n_pending && rd.ok(); ++i) {
     const RequestId id = RequestId::read(rd);
     Reveal r;
-    r.scheme = read_scheme(rd, r);
-    const RequestId named{rd.u32(), rd.u64()};
-    const bool delivered = rd.u8() != 0;
+    r.scheme = read_scheme(rd);
     r.revealed = rd.u8() != 0;
-    if (!r.scheme || named != id || !delivered) return false;
-    if (options_.layout == Layout::kEnvelope) {
-      const uint32_t n_pt = rd.u32();
-      for (uint32_t j = 0; j < n_pt && rd.ok(); ++j) {
-        r.plaintexts.push_back(rd.bytes());
-      }
-      r.own_share = rd.bytes();
-    } else {
-      Bytes plaintext = rd.bytes();
-      if (r.revealed) r.plaintexts.push_back(std::move(plaintext));
-      if (rd.u8() != 0) {
-        r.own_share = rd.bytes();
-        if (!share_index(r.own_share)) return false;
-      }
+    read_payloads(rd, r.count, r.plaintexts);
+    r.own_share = rd.bytes();
+    if (!r.scheme || (!r.own_share.empty() && !share_index(r.own_share))) {
+      return false;
     }
     r.delivered_at = ctx.now();
     pending.emplace(id, std::move(r));
   }
   if (!rd.ok() || !rd.done()) return false;
   if (!service_->restore(service_blob)) return false;
-  completed_ = std::move(completed);
+  executed_ = std::move(executed);
   completed_shares_ = std::move(completed_shares);
   completed_shares_order_ = std::move(completed_order);
   exec_queue_ = std::move(exec_queue);
@@ -399,27 +392,21 @@ void RevealEngine::on_wal_record(BytesView record, bft::ReplicaContext& ctx) {
   bind(ctx);
   Reader rd(record);
   const RequestId id = RequestId::read(rd);
-  uint32_t count = 1;
+  uint32_t count = 0;
   std::vector<Bytes> plaintexts;
-  if (options_.layout == Layout::kEnvelope) {
-    count = rd.u32();
-    const uint32_t n = rd.u32();
-    for (uint32_t i = 0; i < n && rd.ok(); ++i) {
-      plaintexts.push_back(rd.bytes());
-    }
-    if (plaintexts.size() != n) return;
-  } else {
-    plaintexts.push_back(rd.bytes());
-  }
+  read_payloads(rd, count, plaintexts);
   if (!rd.ok() || !rd.done()) return;
-  // Pre-snapshot tails can survive a torn snapshot/truncate window; the
-  // completed set (restored from the snapshot) makes them no-ops.
-  if (completed_.contains(id)) return;
+  // Only a delivered request executes: a record from a pre-snapshot tail
+  // (a torn snapshot/truncate window) names one the snapshot already
+  // retired, and one whose delivery the replay skipped must not run out of
+  // order.
+  auto it = pending_.find(id);
+  if (it == pending_.end()) return;
   // The reply goes nowhere while the node is shielded during replay; a
   // client still waiting will retransmit and hit the reply cache.
   Bytes result = execute(id.client, count, plaintexts, ctx);
   ctx.send_reply(id.client, id.seq, std::move(result));
-  retire(id, pending_.find(id));
+  retire(it);
   std::erase(exec_queue_, id);
   m_.pending->set(static_cast<int64_t>(pending_.size()));
 }

@@ -4,8 +4,10 @@
 // requests in delivery order.  Only the sharing scheme differs, so this
 // engine owns everything else once:
 //
-//   * the pending map, the delivery-ordered execution queue and the
-//     completed set;
+//   * the pending map and the delivery-ordered execution queue;
+//   * a per-client window of executed seqs, which tells a late share from an
+//     early one (the BFT layer, which never delivers a (client, seq) twice,
+//     keeps the record of what executed);
 //   * the bounded per-sender stash of shares that beat their delivery;
 //   * share intake: a share from replica r must carry index r + 1 and the
 //     client's share to replica i index i + 1; other senders are dropped;
@@ -29,10 +31,10 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bft/app.h"
+#include "bft/client_window.h"
 #include "causal/id.h"
 #include "causal/service.h"
 
@@ -77,11 +79,11 @@ class RevealEngine : public bft::ReplicaApp {
                          bft::ReplicaContext& ctx) final;
 
   // Durability (DESIGN.md §13): the snapshot blob carries the service state
-  // plus the reveal state (completed set, own-share cache, execution queue,
-  // pending reveals with their plaintexts and own shares); every execution
-  // first logs a kApp record with the plaintexts, so a post-crash replay
-  // re-applies the operation without re-running the reveal (the peers'
-  // shares are gone by then).
+  // plus the reveal state (executed windows, own-share cache, execution
+  // queue, pending reveals with their plaintexts and own shares); every
+  // execution first logs a kApp record with the plaintexts, so a post-crash
+  // replay re-applies the operation without re-running the reveal (the
+  // peers' shares are gone by then).
   Bytes serialize_state(bft::ReplicaContext& ctx) final;
   bool restore_state(BytesView blob, bft::ReplicaContext& ctx) final;
   void on_wal_record(BytesView record, bft::ReplicaContext& ctx) final;
@@ -113,15 +115,8 @@ class RevealEngine : public bft::ReplicaApp {
     std::unique_ptr<SchemeState> scheme;
   };
 
-  /// How the snapshot and kApp record lay out the plaintexts and own share.
-  enum class Layout {
-    kEnvelope,  // CP0: u32 payload count, every payload, own share bytes
-    kSingle,    // CP2/CP3: one plaintext, own share behind a presence flag
-  };
-
   struct Options {
     const char* prefix;  // metric prefix: "cp0", "cp2", "cp3"
-    Layout layout;
     // Shares travel sealed per recipient (CP2/CP3) instead of one
     // broadcast frame (CP0).
     bool private_channels;
@@ -163,7 +158,7 @@ class RevealEngine : public bft::ReplicaApp {
   virtual Bytes corrupt(BytesView wire) const = 0;
   /// Snapshot fields written before the common per-request fields.
   virtual void write_scheme(Writer& w, const Reveal& r) const = 0;
-  virtual std::unique_ptr<SchemeState> read_scheme(Reader& rd, Reveal& r) = 0;
+  virtual std::unique_ptr<SchemeState> read_scheme(Reader& rd) = 0;
   virtual void bind_scheme_metrics(obs::MetricsRegistry& registry) = 0;
 
   // --- services for the protocols -----------------------------------------
@@ -202,15 +197,18 @@ class RevealEngine : public bft::ReplicaApp {
   /// no payload at all replies kUndecryptableReply.
   Bytes execute(bft::NodeId client, uint32_t count,
                 const std::vector<Bytes>& plaintexts, bft::ReplicaContext& ctx);
-  /// Records `id` executed, caching its own share and dropping its state.
-  void retire(const RequestId& id, PendingMap::iterator it);
+  /// Records the request executed, caching its own share and dropping its
+  /// state.
+  void retire(PendingMap::iterator it);
 
   std::unique_ptr<Service> service_;
   const Options options_;
   bool corrupt_shares_ = false;
 
   PendingMap pending_;
-  std::unordered_set<RequestId> completed_;
+  // Executed seqs per client, marked at retire: only a share for one of
+  // these is late.
+  std::map<bft::NodeId, bft::ClientExecWindow> executed_;
   // Execution queue: requests execute in delivery order, each blocking on
   // its reveal (the CKPS schedule/reveal alternation).
   std::deque<RequestId> exec_queue_;

@@ -280,19 +280,19 @@ TEST(DeterminismTest, MatchesPinnedFingerprint) {
        "335ea130af66e719f3d047bf045d881bb92d3424aae6091b53525552bd5600c6",
        "23695a7142a43f0dbc7fbdfb8d4cbedf2872db96897ed6c3d66ab3cef6bebe3d"},
       {"CP0", Protocol::kCp0, Engine::kPbftEngine, 1, 1,
-       "07a60bc9656eee87c2a850a5b30d6c40a0d0d85e0a00eb939028fe99207f60d6",
+       "d483780f5b1d3ff114068bcee8cc06e1675a83741d15a618d80584b2c7db6e1c",
        "61801277548157f569dc937330b63b0397a318209f2de7fbf4f0624e20e87edd"},
       {"CP0-batched", Protocol::kCp0, Engine::kPbftEngine, 4, 2,
-       "8671c73cd58e929c1a2679c23999d14f0225e7cbf7f4cb26bf47a3b182af79ea",
+       "33efaa793666a56432730f6f19d28686b6a0c5626f8f0eb59f6af27614bec918",
        "6b0c800228b123e815a2a4b31b03d8b5cf9f9e8c40066244f4826e68b6b2e9a8"},
       {"CP1", Protocol::kCp1, Engine::kPbftEngine, 1, 1,
        "d1fcd52764741235cb65823ff2a5c290f429d2faa198da7be2a8f31a999f94ea",
        "b4bcd2d4b248d08f03e1e77689f55913e33ad79191bac75208b3e7d6aa5504f3"},
       {"CP2", Protocol::kCp2, Engine::kPbftEngine, 1, 1,
-       "33cc41a50e641ea7abab5e8eb6cc421b427a368ee871b0f3c4daea66719b4120",
+       "7fe894e70a76ea733d5b72c49c22fecf421d6c85f4e7d4fdc791bc6638fd6c1f",
        "cb0518f873b9df92fa864f5bec8e4c08c826c1d8d6560e846f5ce292d6e52c3a"},
       {"CP3", Protocol::kCp3, Engine::kPbftEngine, 1, 1,
-       "a3b009b617bd1ff3794bced0616d2959a9b86a1bb59c655b4191e2ca878c6801",
+       "23e15a743942706484e7ce4fea902546258522b21b886956d479516a5074d6f1",
        "b19aa1d49868f6cbf80432f45374d41f3e0993f35b9efabcec24683d1b6d6579"},
       {"CP2-async", Protocol::kCp2, Engine::kAsyncEngine, 1, 1,
        "b77241687747a8dd0e40e4153cbdfe77cba26013f13a62dc33d080b0af740a95",
