@@ -100,7 +100,8 @@ bool Cp1ReplicaApp::validate_request(NodeId client,
         }
         // Verified witness in hand: arm amplification in case the client
         // fails to reach the other replicas.
-        arm_amplification(body->id, msg.client_seq, msg.payload, ctx);
+        arm_amplification(body->id, tent->second, msg.client_seq, msg.payload,
+                          ctx);
       }
       return true;
     }
@@ -163,7 +164,7 @@ void Cp1ReplicaApp::deliver_schedule(const bft::Request& req,
   if (!r.done()) return;
 
   const RequestId id{req.client, req.client_seq};
-  if (opened_.contains(id) || aborted_.contains(id) || tentative_.contains(id)) {
+  if (aborted_.contains(id) || tentative_.contains(id)) {
     ctx.send_reply(req.client, req.client_seq, scheduled_marker());
     return;
   }
@@ -171,7 +172,6 @@ void Cp1ReplicaApp::deliver_schedule(const bft::Request& req,
   t.commitment = std::move(c);
   t.scheduled_at_count = delivered_count_;
   tentative_.emplace(id, std::move(t));
-  schedule_order_.emplace_back(id, delivered_count_);
   m_.scheduled->inc();
   m_.tentative->set(static_cast<int64_t>(tentative_.size()));
   ctx.send_reply(req.client, req.client_seq, scheduled_marker());
@@ -181,13 +181,12 @@ void Cp1ReplicaApp::deliver_reveal(const bft::Request& req,
                                    bft::ReplicaContext& ctx) {
   auto body = parse_reveal(req.payload);
   if (!body) return;
-  if (opened_.contains(body->id)) return;  // duplicate reveal
   if (aborted_.contains(body->id)) {
     ctx.send_reply(req.client, req.client_seq, aborted_marker());
     return;
   }
   auto tent = tentative_.find(body->id);
-  if (tent == tentative_.end()) return;  // never scheduled: ignore
+  if (tent == tentative_.end()) return;  // never scheduled, or opened: ignore
 
   ctx.charge(Op::kCommitOpen, body->message.size());
   if (!commitment_.open(body->id.encode(), tent->second.commitment,
@@ -195,7 +194,6 @@ void Cp1ReplicaApp::deliver_reveal(const bft::Request& req,
     m_.openings_rejected->inc();  // forged opening: stays tentative
     return;
   }
-  opened_.insert(body->id);
   tentative_.erase(tent);
   m_.opened->inc();
   m_.tentative->set(static_cast<int64_t>(tentative_.size()));
@@ -243,41 +241,37 @@ void Cp1ReplicaApp::deliver_cleanup(const bft::Request& req,
 
 void Cp1ReplicaApp::maybe_propose_cleanup(bft::ReplicaContext& ctx) {
   if (!ctx.is_primary()) return;
-  // Pop entries whose tentative is gone (opened or aborted).
-  while (!schedule_order_.empty() &&
-         !tentative_.contains(schedule_order_.front().first)) {
-    schedule_order_.pop_front();
-  }
-  if (schedule_order_.empty()) return;
-  if (delivered_count_ - schedule_order_.front().second < options_.cleanup_cycle) {
-    return;
-  }
-
-  Writer w;
-  w.u8(static_cast<uint8_t>(Cp1Phase::kCleanup));
-  std::vector<RequestId> expired;
-  for (const auto& [id, scheduled_at] : schedule_order_) {
-    if (delivered_count_ - scheduled_at < options_.cleanup_cycle) break;
-    if (!tentative_.contains(id) || cleanup_inflight_.contains(id)) continue;
-    expired.push_back(id);
+  // Every expired tentative request no CLEANUP of ours lists yet, in
+  // schedule order (each delivery schedules at most one, so the counts are
+  // distinct).
+  std::vector<std::pair<uint64_t, RequestId>> expired;
+  for (auto& [id, t] : tentative_) {
+    if (t.cleanup_inflight ||
+        delivered_count_ - t.scheduled_at_count < options_.cleanup_cycle) {
+      continue;
+    }
+    t.cleanup_inflight = true;
+    expired.emplace_back(t.scheduled_at_count, id);
   }
   if (expired.empty()) return;
+  std::sort(expired.begin(), expired.end());
+  Writer w;
+  w.u8(static_cast<uint8_t>(Cp1Phase::kCleanup));
   w.u32(static_cast<uint32_t>(expired.size()));
-  for (const auto& id : expired) {
-    id.write(w);
-    cleanup_inflight_.insert(id);
-  }
+  for (const auto& [scheduled_at, id] : expired) id.write(w);
   ctx.submit_local_request(std::move(w).take());
 }
 
-void Cp1ReplicaApp::arm_amplification(const RequestId& id, uint64_t reveal_seq,
+void Cp1ReplicaApp::arm_amplification(const RequestId& id, Tentative& t,
+                                      uint64_t reveal_seq,
                                       const Bytes& reveal_payload,
                                       bft::ReplicaContext& ctx) {
-  if (amplified_.contains(id)) return;
-  amplified_.insert(id);
+  if (t.amplified) return;
+  t.amplified = true;
   const Bytes witness = encode_witness(reveal_seq, reveal_payload);
   ctx.schedule(options_.amplify_delay, [this, id, witness, &ctx] {
-    if (opened_.contains(id) || aborted_.contains(id)) return;
+    // Opened or aborted meanwhile: the request left tentative_ for good.
+    if (!tentative_.contains(id)) return;
     // The reveal has not been ordered yet: forward the witness.  It needs
     // no client authentication — the opening is the proof.
     m_.amplifications->inc();
@@ -295,7 +289,6 @@ void Cp1ReplicaApp::on_causal_message(NodeId from, BytesView body,
   if (!r.done()) return;
   auto reveal = parse_reveal(payload);
   if (!reveal) return;
-  if (opened_.contains(reveal->id) || aborted_.contains(reveal->id)) return;
   auto tent = tentative_.find(reveal->id);
   if (tent == tentative_.end()) return;
   ctx.charge(Op::kCommitOpen, reveal->message.size());
@@ -312,20 +305,7 @@ void Cp1ReplicaApp::on_causal_message(NodeId from, BytesView body,
 // Durability (DESIGN.md §13)
 
 namespace {
-constexpr uint32_t kCp1StateVersion = 2;
-
-void write_id_set(Writer& w, const std::unordered_set<RequestId>& set) {
-  std::vector<RequestId> ids(set.begin(), set.end());
-  std::sort(ids.begin(), ids.end());
-  w.u32(static_cast<uint32_t>(ids.size()));
-  for (const RequestId& id : ids) id.write(w);
-}
-
-bool read_id_set(Reader& r, std::unordered_set<RequestId>& set) {
-  const uint32_t n = r.u32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) set.insert(RequestId::read(r));
-  return r.ok();
-}
+constexpr uint32_t kCp1StateVersion = 3;
 }  // namespace
 
 Bytes Cp1ReplicaApp::serialize_state(bft::ReplicaContext& /*ctx*/) {
@@ -338,16 +318,10 @@ Bytes Cp1ReplicaApp::serialize_state(bft::ReplicaContext& /*ctx*/) {
     w.bytes(t.commitment);
     w.u64(t.scheduled_at_count);
   }
-  w.u32(static_cast<uint32_t>(schedule_order_.size()));
-  for (const auto& [id, at] : schedule_order_) {
-    id.write(w);
-    w.u64(at);
-  }
-  write_id_set(w, opened_);
-  write_id_set(w, aborted_);
-  // amplified_ is deliberately NOT persisted: its timers die with the
-  // process, and keeping the guard would silently disable amplification for
-  // those ids when the client retransmits its reveal.
+  std::vector<RequestId> aborted(aborted_.begin(), aborted_.end());
+  std::sort(aborted.begin(), aborted.end());  // a deterministic blob
+  w.u32(static_cast<uint32_t>(aborted.size()));
+  for (const RequestId& id : aborted) id.write(w);
   w.u64(delivered_count_);
   w.u64(cleaned_count_);
   return std::move(w).take();
@@ -368,22 +342,16 @@ bool Cp1ReplicaApp::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
     t.scheduled_at_count = r.u64();
     tentative.emplace(id, std::move(t));
   }
-  std::deque<std::pair<RequestId, uint64_t>> order;
-  const uint32_t n_order = r.u32();
-  for (uint32_t i = 0; i < n_order && r.ok(); ++i) {
-    const RequestId id = RequestId::read(r);
-    order.emplace_back(id, r.u64());
-  }
-  std::unordered_set<RequestId> opened;
   std::unordered_set<RequestId> aborted;
-  if (!read_id_set(r, opened) || !read_id_set(r, aborted)) return false;
+  const uint32_t n_aborted = r.u32();
+  for (uint32_t i = 0; i < n_aborted && r.ok(); ++i) {
+    aborted.insert(RequestId::read(r));
+  }
   const uint64_t delivered = r.u64();
   const uint64_t cleaned = r.u64();
   if (!r.ok() || !r.done()) return false;
   if (!service_->restore(service_blob)) return false;
   tentative_ = std::move(tentative);
-  schedule_order_ = std::move(order);
-  opened_ = std::move(opened);
   aborted_ = std::move(aborted);
   delivered_count_ = delivered;
   cleaned_count_ = cleaned;

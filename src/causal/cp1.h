@@ -21,7 +21,6 @@
 //    cannot be delayed indefinitely relative to other traffic.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -62,9 +61,10 @@ class Cp1ReplicaApp : public bft::ReplicaApp {
   // Durability (DESIGN.md §13).  Unlike CP0, a CP1 reveal carries its
   // plaintext in the ordered payload, so replaying post-snapshot deliveries
   // re-runs executions exactly — no per-execution WAL records needed.  The
-  // snapshot carries the tentative/opened/aborted bookkeeping.  It is
-  // written after a batch's flush, so no verified reveal awaits execution
-  // at a snapshot point.
+  // snapshot carries only the tentative requests and the aborted ids: an
+  // opened request leaves no trace here, because the BFT layer never
+  // delivers a (client, seq) twice.  It is written after a batch's flush,
+  // so no verified reveal awaits execution at a snapshot point.
   Bytes serialize_state(bft::ReplicaContext& ctx) override;
   bool restore_state(BytesView blob, bft::ReplicaContext& ctx) override;
 
@@ -81,6 +81,10 @@ class Cp1ReplicaApp : public bft::ReplicaApp {
   struct Tentative {
     Bytes commitment;
     uint64_t scheduled_at_count = 0;  // value of delivered_count_ when scheduled
+    // Volatile (not in the snapshot): the timers and proposals they guard
+    // die with the process.
+    bool amplified = false;         // witness forwarded already
+    bool cleanup_inflight = false;  // listed in a CLEANUP this replica proposed
   };
 
   /// A verified reveal whose execution waits for the batch flush.
@@ -97,7 +101,7 @@ class Cp1ReplicaApp : public bft::ReplicaApp {
   /// (DESIGN.md §10: consecutive reveals in one BFT batch flush together).
   void flush_reveals(bft::ReplicaContext& ctx);
   void maybe_propose_cleanup(bft::ReplicaContext& ctx);
-  void arm_amplification(const RequestId& id, uint64_t reveal_seq,
+  void arm_amplification(const RequestId& id, Tentative& t, uint64_t reveal_seq,
                          const Bytes& reveal_payload, bft::ReplicaContext& ctx);
   void bind_metrics(bft::ReplicaContext& ctx);
 
@@ -106,11 +110,7 @@ class Cp1ReplicaApp : public bft::ReplicaApp {
   Cp1Options options_;
 
   std::map<RequestId, Tentative> tentative_;  // scheduled, unopened
-  std::deque<std::pair<RequestId, uint64_t>> schedule_order_;
-  std::unordered_set<RequestId> opened_;      // reveal delivered
   std::unordered_set<RequestId> aborted_;     // removed by cleanup
-  std::unordered_set<RequestId> amplified_;   // witness forwarded already
-  std::unordered_set<RequestId> cleanup_inflight_;
   uint64_t delivered_count_ = 0;              // requests delivered in order
   uint64_t cleaned_count_ = 0;
   std::vector<DeferredReveal> reveal_flush_;  // delivery order

@@ -286,7 +286,7 @@ TEST(DeterminismTest, MatchesPinnedFingerprint) {
        "33efaa793666a56432730f6f19d28686b6a0c5626f8f0eb59f6af27614bec918",
        "6b0c800228b123e815a2a4b31b03d8b5cf9f9e8c40066244f4826e68b6b2e9a8"},
       {"CP1", Protocol::kCp1, Engine::kPbftEngine, 1, 1,
-       "d1fcd52764741235cb65823ff2a5c290f429d2faa198da7be2a8f31a999f94ea",
+       "40f4e2d80a5c3ee90c04b53b8175cded9d4516a848a3b198b9459c3383a8cf43",
        "b4bcd2d4b248d08f03e1e77689f55913e33ad79191bac75208b3e7d6aa5504f3"},
       {"CP2", Protocol::kCp2, Engine::kPbftEngine, 1, 1,
        "7fe894e70a76ea733d5b72c49c22fecf421d6c85f4e7d4fdc791bc6638fd6c1f",
