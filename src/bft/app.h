@@ -140,9 +140,10 @@ class ReplicaApp {
     return {};
   }
   /// Restores a blob produced by serialize_state.  Called once, before WAL
-  /// replay, on a freshly constructed app.  Returns false on a malformed
-  /// blob (recovery then proceeds from empty app state — the BFT layer
-  /// still replays deliveries).  Default accepts only the empty blob.
+  /// replay, on a freshly constructed app.  Returns false on a blob it
+  /// cannot read (damaged, or an older format), leaving the app untouched:
+  /// the replica then rejects the whole snapshot, starts empty and rejoins
+  /// through catch-up.  Default accepts only the empty blob.
   virtual bool restore_state(BytesView blob, ReplicaContext& ctx) {
     (void)ctx;
     return blob.empty();

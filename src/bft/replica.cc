@@ -72,6 +72,7 @@ Replica::Replica(host::Host& host, NodeId id, BftConfig config,
   m_.catchups_completed = &metrics_.counter("bft.recovery.catchups_completed");
   m_.wal_replayed = &metrics_.counter("bft.recovery.wal_replayed");
   m_.snapshot_loaded = &metrics_.counter("bft.recovery.snapshot_loaded");
+  m_.snapshot_rejected = &metrics_.counter("bft.recovery.snapshot_rejected");
   m_.snapshots_written = &metrics_.counter("bft.recovery.snapshots_written");
   m_.wal_append_bytes = &metrics_.histogram("storage.wal_append_bytes");
   m_.catchup_ms = &metrics_.histogram("bft.recovery.catchup_ms");
@@ -136,7 +137,11 @@ void Replica::recover() {
   if (storage_ == nullptr) return;
   replaying_ = true;
   if (auto blob = storage_->get("snapshot")) {
-    if (restore_snapshot(*blob)) m_.snapshot_loaded->inc();
+    if (restore_snapshot(*blob)) {
+      m_.snapshot_loaded->inc();
+    } else {
+      m_.snapshot_rejected->inc();
+    }
   }
   const std::size_t replayed =
       storage_->replay([this](BytesView rec) { apply_wal_record(rec); });
@@ -322,6 +327,11 @@ bool Replica::restore_snapshot(BytesView blob) {
   for (uint32_t i = 0; i < n_retired && r.ok(); ++i) retired.push_back(r.u64());
   const Bytes app_blob = r.bytes();
   if (!r.ok() || !r.done()) return false;
+  // The app goes first, so a blob it cannot read (damaged, or an older
+  // format) rejects the whole snapshot before any field below is set: the
+  // replica then starts empty and rejoins through catch-up, instead of
+  // resuming at next_exec with an empty service.
+  if (!app_->restore_state(app_blob, *this)) return false;
 
   view_ = view;
   next_seq_ = next_seq;
@@ -339,10 +349,6 @@ bool Replica::restore_snapshot(BytesView blob) {
   segments_ = std::move(segments);
   retired_ = std::move(retired);
   history_ = std::move(history);
-  // The BFT state above is intact regardless of the app blob's verdict: a
-  // malformed app blob only loses causal pending state, which the
-  // reveal-retry protocol rebuilds post-recovery.
-  app_->restore_state(app_blob, *this);
   return true;
 }
 

@@ -256,6 +256,7 @@ class Replica : public host::HostBound<ReplicaContext> {
     obs::Counter* catchups_completed;
     obs::Counter* wal_replayed;
     obs::Counter* snapshot_loaded;
+    obs::Counter* snapshot_rejected;
     obs::Counter* snapshots_written;
     obs::Histogram* wal_append_bytes;
     obs::Histogram* catchup_ms;

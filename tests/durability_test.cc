@@ -5,6 +5,8 @@
 //  * a FULL-cluster crash + restart recovers every replica from its
 //    attached storage with no loss and no re-execution, on every protocol
 //    and both runtimes;
+//  * a snapshot whose app state does not restore is rejected whole, and
+//    the replica rejoins through catch-up;
 //  * a file-backed cluster torn down completely (the in-process model of a
 //    power loss) resumes exactly from its data directory;
 //  * the batch history lives in write-once segment blobs beside a snapshot
@@ -189,6 +191,38 @@ TEST(DurabilitySim, WalAloneRecoversBeforeFirstCheckpoint) {
   }
   run_ops(cluster, 1, 100, 4);
   await_converged(cluster, 6);
+}
+
+/// Serializes its count like EchoService but refuses every blob, as a
+/// service reading a snapshot written in an older format does.
+class UnrestorableEcho final : public EchoService {
+ public:
+  bool restore(BytesView /*blob*/) override { return false; }
+};
+
+TEST(DurabilitySim, UnrestorableAppStateRejectsTheSnapshot) {
+  for (Protocol p : {Protocol::kPbft, Protocol::kCp3}) {
+    SCOPED_TRACE(protocol_name(p));
+    ClusterOptions opts = base_options(p, RuntimeKind::kSim);
+    opts.durability = ClusterOptions::Durability::kMem;
+    opts.service_factory = [] { return std::make_unique<UnrestorableEcho>(); };
+    Cluster cluster(opts);
+    run_ops(cluster, 0, 0, 12);
+    await_converged(cluster, 12);
+
+    // The restarted replica must not resume after the snapshot point with
+    // an empty service: it rejects the snapshot, starts from seq 0 and
+    // catches up from its peers.
+    cluster.crash_replica(3);
+    cluster.restart_replica(3);
+    obs::MetricsRegistry& metrics = cluster.replica_metrics(3);
+    EXPECT_EQ(metrics.counter("bft.recovery.snapshot_loaded").value(), 0u);
+    EXPECT_EQ(metrics.counter("bft.recovery.snapshot_rejected").value(), 1u);
+    EXPECT_EQ(cluster.replica(3).last_executed_seq(), 0u);
+
+    run_ops(cluster, 0, 12, 28);
+    await_converged(cluster, 40);
+  }
 }
 
 TEST(DurabilityThreads, MemFullClusterRestartRecovers) {
