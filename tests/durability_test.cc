@@ -9,6 +9,7 @@
 //    the replica rejoins through catch-up;
 //  * a file-backed cluster torn down completely (the in-process model of a
 //    power loss) resumes exactly from its data directory;
+//  * past the own-share cache a snapshot stops growing with run length;
 //  * the batch history lives in write-once segment blobs beside a snapshot
 //    that only indexes them: the disk keeps just the segments a lagging
 //    peer may still fetch, a crash at any step of the snapshot sequence
@@ -33,6 +34,7 @@
 #include "bft/client_window.h"
 #include "bft/replica.h"
 #include "causal/harness.h"
+#include "causal/reveal_engine.h"
 #include "common/serialize.h"
 #include "crypto/drbg.h"
 #include "host/storage.h"
@@ -367,6 +369,46 @@ TEST(DurabilitySegments, DiskKeepsOnlyTheFetchWindowAndSnapshotStaysSmall) {
       expect_window_layout(cluster, i, mem_disk(cluster, i));
       // The snapshot indexes the segments; it never carries a batch body.
       EXPECT_LT(mem_disk(cluster, i).get("snapshot")->size(), kOpBytes);
+    }
+  }
+}
+
+TEST(DurabilitySim, SnapshotSizeIsFlatWithRunLength) {
+  // Past the own-share cache and with the segment index saturated, a
+  // snapshot holds in-flight state only: nothing in it may grow with the
+  // number of requests executed.  Payloads share one length, so share
+  // sizes stay put too.
+  constexpr int kWarmup = 1040;
+  constexpr int kMore = 200;
+  static_assert(std::size_t{kWarmup} > RevealEngine::kMaxCompletedShareCache);
+  const auto fixed_op = [](int i) {
+    Bytes payload = op(i);
+    payload.resize(32, 0x42);
+    return payload;
+  };
+  for (Protocol p : kAllProtocols) {
+    SCOPED_TRACE(protocol_name(p));
+    ClusterOptions opts = segment_options();
+    opts.protocol = p;
+    Cluster cluster(opts);
+    std::vector<std::size_t> sizes(cluster.n());
+    int next = 0;
+    for (int total : {kWarmup, kWarmup + kMore}) {
+      for (; next < total; ++next) {
+        ASSERT_TRUE(cluster.run_one(0, fixed_op(next)).has_value()) << next;
+      }
+      await_converged(cluster, static_cast<uint64_t>(total));
+      settle(cluster);
+      for (uint32_t i = 0; i < cluster.n(); ++i) {
+        SCOPED_TRACE("replica " + std::to_string(i));
+        const bft::Replica& r = cluster.replica(i);
+        ASSERT_EQ(r.low_watermark(), r.last_executed_seq()) << "not quiesced";
+        const std::size_t size = mem_disk(cluster, i).get("snapshot")->size();
+        if (total > kWarmup) {
+          EXPECT_LT(size, sizes[i] + kMore) << "grew from " << sizes[i];
+        }
+        sizes[i] = size;
+      }
     }
   }
 }
