@@ -40,6 +40,29 @@ Bytes DnsRegistry::resolve(std::string_view name) {
   return std::move(w).take();
 }
 
+Bytes DnsRegistry::serialize() const {
+  Writer w;
+  w.u32(static_cast<uint32_t>(owners_.size()));
+  for (const auto& [name, owner] : owners_) {
+    w.str(name);
+    w.u32(owner);
+  }
+  return std::move(w).take();
+}
+
+bool DnsRegistry::restore(BytesView blob) {
+  Reader r(blob);
+  std::map<std::string, host::NodeId> owners;
+  const uint32_t n = r.u32();
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    std::string name = r.str();
+    owners[std::move(name)] = r.u32();
+  }
+  if (!r.done()) return false;
+  owners_ = std::move(owners);
+  return true;
+}
+
 host::NodeId DnsRegistry::owner(const std::string& name) const {
   auto it = owners_.find(name);
   return it == owners_.end() ? 0 : it->second;

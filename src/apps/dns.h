@@ -27,6 +27,9 @@ class DnsRegistry : public causal::Service {
   host::NodeId owner(const std::string& name) const;
   std::size_t registered_count() const { return owners_.size(); }
 
+  Bytes serialize() const override;
+  bool restore(BytesView blob) override;
+
  private:
   std::map<std::string, host::NodeId> owners_;
 };

@@ -29,6 +29,29 @@ Bytes KvStore::execute(host::NodeId /*client*/, BytesView op) {
   }
 }
 
+Bytes KvStore::serialize() const {
+  Writer w;
+  w.u32(static_cast<uint32_t>(data_.size()));
+  for (const auto& [key, value] : data_) {
+    w.str(key);
+    w.bytes(value);
+  }
+  return std::move(w).take();
+}
+
+bool KvStore::restore(BytesView blob) {
+  Reader r(blob);
+  std::map<std::string, Bytes> data;
+  const uint32_t n = r.u32();
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    std::string key = r.str();
+    data[std::move(key)] = r.bytes();
+  }
+  if (!r.done()) return false;
+  data_ = std::move(data);
+  return true;
+}
+
 Bytes KvStore::put(std::string_view key, BytesView value) {
   Writer w;
   w.u8('P');

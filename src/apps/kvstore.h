@@ -24,6 +24,9 @@ class KvStore : public causal::Service {
 
   std::size_t size() const { return data_.size(); }
 
+  Bytes serialize() const override;
+  bool restore(BytesView blob) override;
+
  private:
   std::map<std::string, Bytes> data_;
 };

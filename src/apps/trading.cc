@@ -72,6 +72,43 @@ Bytes TradingService::quote(std::string_view symbol) {
   return std::move(w).take();
 }
 
+Bytes TradingService::serialize() const {
+  Writer w;
+  w.u32(static_cast<uint32_t>(prices_.size()));
+  for (const auto& [symbol, price] : prices_) {
+    w.str(symbol);
+    w.u64(price);
+  }
+  w.u32(static_cast<uint32_t>(positions_.size()));
+  for (const auto& [key, shares] : positions_) {
+    w.u32(key.first);
+    w.str(key.second);
+    w.u64(static_cast<uint64_t>(shares));
+  }
+  return std::move(w).take();
+}
+
+bool TradingService::restore(BytesView blob) {
+  Reader r(blob);
+  std::map<std::string, uint64_t> prices;
+  const uint32_t n_prices = r.u32();
+  for (uint32_t i = 0; i < n_prices && r.ok(); ++i) {
+    std::string symbol = r.str();
+    prices[std::move(symbol)] = r.u64();
+  }
+  std::map<std::pair<host::NodeId, std::string>, int64_t> positions;
+  const uint32_t n_positions = r.u32();
+  for (uint32_t i = 0; i < n_positions && r.ok(); ++i) {
+    const host::NodeId client = r.u32();
+    std::string symbol = r.str();
+    positions[{client, std::move(symbol)}] = static_cast<int64_t>(r.u64());
+  }
+  if (!r.done()) return false;
+  prices_ = std::move(prices);
+  positions_ = std::move(positions);
+  return true;
+}
+
 uint64_t TradingService::price_cents(const std::string& symbol) const {
   auto it = prices_.find(symbol);
   return it == prices_.end() ? kInitialPriceCents : it->second;

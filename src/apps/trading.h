@@ -37,6 +37,9 @@ class TradingService : public causal::Service {
   /// Net shares held by `client` in `symbol`.
   int64_t position(host::NodeId client, const std::string& symbol) const;
 
+  Bytes serialize() const override;
+  bool restore(BytesView blob) override;
+
  private:
   std::map<std::string, uint64_t> prices_;
   std::map<std::pair<host::NodeId, std::string>, int64_t> positions_;

@@ -108,5 +108,66 @@ TEST(Dns, RejectsEmptyAndMalformedNames) {
   EXPECT_EQ(d.registered_count(), 0u);
 }
 
+// The replica snapshot carries each service's state (DESIGN.md §13): a
+// populated service restores into a fresh one exactly, and restore is all
+// or nothing, so a blob that does not parse leaves the target as it was.
+template <typename S>
+void expect_state_round_trips(const S& populated, S target) {
+  const Bytes blob = populated.serialize();
+  S copy;
+  ASSERT_TRUE(copy.restore(blob));
+  EXPECT_EQ(copy.serialize(), blob);
+
+  const Bytes before = target.serialize();
+  ASSERT_NE(before, blob);
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    EXPECT_FALSE(target.restore(BytesView(blob.data(), len))) << "len=" << len;
+  }
+  Bytes trailing = blob;
+  trailing.push_back(0x00);
+  EXPECT_FALSE(target.restore(trailing));
+  EXPECT_EQ(target.serialize(), before);
+}
+
+TEST(ServiceState, KvStoreRoundTrips) {
+  KvStore kv;
+  kv.execute(1, KvStore::put("a", to_bytes("1")));
+  kv.execute(1, KvStore::put("b", Bytes{}));
+  KvStore other;
+  other.execute(1, KvStore::put("z", to_bytes("9")));
+  expect_state_round_trips(kv, other);
+  KvStore copy;
+  ASSERT_TRUE(copy.restore(kv.serialize()));
+  EXPECT_EQ(copy.execute(2, KvStore::get("a")), to_bytes("1"));
+  EXPECT_EQ(copy.size(), 2u);
+}
+
+TEST(ServiceState, TradingRoundTrips) {
+  TradingService t;
+  t.execute(1, TradingService::buy("ACME", 10));
+  t.execute(2, TradingService::sell("ACME", 30));
+  TradingService other;
+  other.execute(3, TradingService::buy("ZZZ", 1));
+  expect_state_round_trips(t, other);
+  TradingService copy;
+  ASSERT_TRUE(copy.restore(t.serialize()));
+  EXPECT_EQ(copy.price_cents("ACME"), t.price_cents("ACME"));
+  EXPECT_EQ(copy.position(1, "ACME"), 10);
+  EXPECT_EQ(copy.position(2, "ACME"), -30);
+}
+
+TEST(ServiceState, DnsRoundTrips) {
+  DnsRegistry d;
+  d.execute(42, DnsRegistry::register_name("x.example"));
+  d.execute(7, DnsRegistry::register_name("y.example"));
+  DnsRegistry other;
+  other.execute(1, DnsRegistry::register_name("z.example"));
+  expect_state_round_trips(d, other);
+  DnsRegistry copy;
+  ASSERT_TRUE(copy.restore(d.serialize()));
+  EXPECT_EQ(copy.owner("x.example"), 42u);
+  EXPECT_EQ(copy.registered_count(), 2u);
+}
+
 }  // namespace
 }  // namespace scab::apps

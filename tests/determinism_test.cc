@@ -277,22 +277,22 @@ Fingerprint fingerprint(const FingerprintCase& c, obs::MetricsRegistry* merged) 
 TEST(DeterminismTest, MatchesPinnedFingerprint) {
   const FingerprintCase kCases[] = {
       {"PBFT", Protocol::kPbft, Engine::kPbftEngine, 1, 1,
-       "335ea130af66e719f3d047bf045d881bb92d3424aae6091b53525552bd5600c6",
+       "0fb85506e1ef732a61d69f2cabae0e9833ccb6412427b806242b7a5c979eac52",
        "23695a7142a43f0dbc7fbdfb8d4cbedf2872db96897ed6c3d66ab3cef6bebe3d"},
       {"CP0", Protocol::kCp0, Engine::kPbftEngine, 1, 1,
-       "d483780f5b1d3ff114068bcee8cc06e1675a83741d15a618d80584b2c7db6e1c",
+       "cfb5eaf393ec45490b260a35b38bf76f7ae5055890eaa9a6eeaa6e94da5951c0",
        "61801277548157f569dc937330b63b0397a318209f2de7fbf4f0624e20e87edd"},
       {"CP0-batched", Protocol::kCp0, Engine::kPbftEngine, 4, 2,
-       "33efaa793666a56432730f6f19d28686b6a0c5626f8f0eb59f6af27614bec918",
+       "23e86f81e033d1efd6464a36b127d6959cebebe9e37954b79bea3d93c7ad4f21",
        "6b0c800228b123e815a2a4b31b03d8b5cf9f9e8c40066244f4826e68b6b2e9a8"},
       {"CP1", Protocol::kCp1, Engine::kPbftEngine, 1, 1,
-       "40f4e2d80a5c3ee90c04b53b8175cded9d4516a848a3b198b9459c3383a8cf43",
+       "f89f8c14c598c4a50f9cc3e656314238403454eb086aceafdac648645f909617",
        "b4bcd2d4b248d08f03e1e77689f55913e33ad79191bac75208b3e7d6aa5504f3"},
       {"CP2", Protocol::kCp2, Engine::kPbftEngine, 1, 1,
-       "7fe894e70a76ea733d5b72c49c22fecf421d6c85f4e7d4fdc791bc6638fd6c1f",
+       "d85839f80136ebac447c85c7485400c99d3a5b23fb29afe070e16064c4f3449c",
        "cb0518f873b9df92fa864f5bec8e4c08c826c1d8d6560e846f5ce292d6e52c3a"},
       {"CP3", Protocol::kCp3, Engine::kPbftEngine, 1, 1,
-       "23e15a743942706484e7ce4fea902546258522b21b886956d479516a5074d6f1",
+       "a1ab8d274d8cc347d1e0fec49f16adfda64a985e87be5353b975139391f1b897",
        "b19aa1d49868f6cbf80432f45374d41f3e0993f35b9efabcec24683d1b6d6579"},
       {"CP2-async", Protocol::kCp2, Engine::kAsyncEngine, 1, 1,
        "b77241687747a8dd0e40e4153cbdfe77cba26013f13a62dc33d080b0af740a95",

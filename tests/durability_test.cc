@@ -7,6 +7,8 @@
 //    and both runtimes;
 //  * a snapshot whose app state does not restore is rejected whole, and
 //    the replica rejoins through catch-up;
+//  * the bundled services (key-value store, trading, DNS) keep their state
+//    across a full-cluster restart;
 //  * a file-backed cluster torn down completely (the in-process model of a
 //    power loss) resumes exactly from its data directory;
 //  * past the own-share cache a snapshot stops growing with run length;
@@ -30,6 +32,9 @@
 #include <thread>
 #include <vector>
 
+#include "apps/dns.h"
+#include "apps/kvstore.h"
+#include "apps/trading.h"
 #include "bft/client.h"
 #include "bft/client_window.h"
 #include "bft/replica.h"
@@ -224,6 +229,74 @@ TEST(DurabilitySim, UnrestorableAppStateRejectsTheSnapshot) {
 
     run_ops(cluster, 0, 12, 28);
     await_converged(cluster, 40);
+  }
+}
+
+/// Runs `setup` from client 0 and twelve `filler` ops from client 1 behind
+/// it, so a snapshot covers the setup; crashes and restarts every replica;
+/// and returns the reply to `probe` from client 0.
+Bytes probe_after_full_restart(Cluster& cluster, const Bytes& setup,
+                               const Bytes& filler, const Bytes& probe) {
+  EXPECT_TRUE(cluster.run_one(0, setup).has_value());
+  for (int i = 0; i < 12; ++i) {
+    EXPECT_TRUE(cluster.run_one(1, filler).has_value());
+  }
+  for (uint32_t i = 0; i < cluster.n(); ++i) cluster.crash_replica(i);
+  for (uint32_t i = 0; i < cluster.n(); ++i) {
+    cluster.restart_replica(i);
+    EXPECT_GE(cluster.replica_metrics(i)
+                  .counter("bft.recovery.snapshot_loaded")
+                  .value(),
+              1u)
+        << "replica " << i;
+  }
+  return cluster.run_one(0, probe).value_or(to_bytes("no reply"));
+}
+
+TEST(DurabilitySim, FullClusterRestartKeepsServiceState) {
+  for (Protocol p : {Protocol::kPbft, Protocol::kCp3}) {
+    SCOPED_TRACE(protocol_name(p));
+    ClusterOptions opts = base_options(p, RuntimeKind::kSim);
+    opts.durability = ClusterOptions::Durability::kMem;
+    {
+      opts.service_factory = [] { return std::make_unique<apps::KvStore>(); };
+      Cluster cluster(opts);
+      EXPECT_EQ(probe_after_full_restart(
+                    cluster, apps::KvStore::put("k", to_bytes("v")),
+                    apps::KvStore::put("filler", to_bytes("x")),
+                    apps::KvStore::get("k")),
+                to_bytes("v"));
+    }
+    {
+      using apps::TradingService;
+      opts.service_factory = [] { return std::make_unique<TradingService>(); };
+      Cluster cluster(opts);
+      EXPECT_EQ(probe_after_full_restart(cluster,
+                                         TradingService::buy("ACME", 10),
+                                         TradingService::quote("OTHER"),
+                                         TradingService::quote("ACME")),
+                to_bytes("10050"));
+      const bft::NodeId buyer = cluster.client(0).id();
+      for (uint32_t i = 0; i < cluster.n(); ++i) {
+        auto& trading = dynamic_cast<TradingService&>(cluster.service(i));
+        EXPECT_EQ(trading.position(buyer, "ACME"), 10) << "replica " << i;
+      }
+    }
+    {
+      using apps::DnsRegistry;
+      opts.service_factory = [] { return std::make_unique<DnsRegistry>(); };
+      Cluster cluster(opts);
+      const bft::NodeId registrant = cluster.client(0).id();
+      EXPECT_EQ(probe_after_full_restart(
+                    cluster, DnsRegistry::register_name("a.example"),
+                    DnsRegistry::resolve("filler.example"),
+                    DnsRegistry::resolve("a.example")),
+                to_bytes(std::to_string(registrant)));
+      for (uint32_t i = 0; i < cluster.n(); ++i) {
+        auto& dns = dynamic_cast<DnsRegistry&>(cluster.service(i));
+        EXPECT_EQ(dns.owner("a.example"), registrant) << "replica " << i;
+      }
+    }
   }
 }
 
