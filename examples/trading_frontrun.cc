@@ -38,7 +38,7 @@ uint64_t stage_attack(Protocol protocol) {
 
   // What can the corrupt replica see in the honest client's request?
   std::string observed;
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](sim::NodeId from, sim::NodeId to, BytesView msg) -> std::optional<Bytes> {
         if (from == Cluster::client_id(0) && to == 3 && observed.empty()) {
           observed.assign(msg.begin(), msg.end());
@@ -46,7 +46,7 @@ uint64_t stage_attack(Protocol protocol) {
         return Bytes(msg.begin(), msg.end());
       });
 
-  cluster.net().faults().cut(Cluster::client_id(0), 0);  // slow path to primary
+  cluster.faults().cut(Cluster::client_id(0), 0);  // slow path to primary
   cluster.client(0).submit(honest_order);
   cluster.sim().run_until(cluster.sim().now() + 5 * sim::kMillisecond);
 
@@ -64,7 +64,7 @@ uint64_t stage_attack(Protocol protocol) {
   }
 
   // The honest client's (delayed) order finally executes.
-  cluster.net().faults().heal(Cluster::client_id(0), 0);
+  cluster.faults().heal(Cluster::client_id(0), 0);
   cluster.sim().run_while(
       [&] { return cluster.client(0).completed_ops() >= 1; });
   std::printf("  honest client filled:          %s\n",

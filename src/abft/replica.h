@@ -39,12 +39,13 @@ namespace scab::abft {
 
 using bft::NodeId;
 
-class AsyncReplica : public host::HostBound<bft::ReplicaContext> {
+class AsyncReplica final : public host::HostBound<bft::ReplicaContext> {
  public:
   AsyncReplica(host::Host& host, NodeId id, bft::BftConfig config,
                const bft::KeyRing& keys, const host::CostModel& costs,
                const CoinPublicKey& coin_pk, CoinKeyShare coin_share,
                bft::ReplicaApp* app, crypto::Drbg rng);
+  ~AsyncReplica() override;
 
   // --- host::Node ---
   void on_message(NodeId from, BytesView msg) override;

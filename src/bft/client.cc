@@ -113,9 +113,10 @@ Client::Client(host::Host& host, NodeId id, BftConfig config,
   m_.pipeline_slots = &reg.histogram("client.pipeline_slots");
   m_.shed = &reg.counter("client.shed");
   slots_.push_back(std::make_unique<Slot>(*this, protocol));
+  bind();
 }
 
-Client::~Client() = default;
+Client::~Client() { unbind(); }
 
 void Client::set_pipeline(ProtocolFactory factory, uint32_t inflight,
                           uint32_t batch) {

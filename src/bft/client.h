@@ -101,7 +101,7 @@ class ReplyQuorum {
   std::map<NodeId, Bytes> votes_;
 };
 
-class Client : public host::HostBound<> {
+class Client final : public host::HostBound<> {
  public:
   /// `protocol` drives the client's one operation slot until set_pipeline
   /// replaces it; the caller keeps it alive.  `metrics` receives

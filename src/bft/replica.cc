@@ -86,6 +86,7 @@ Replica::Replica(host::Host& host, NodeId id, BftConfig config,
 
   storage_ = host.storage(id);
   if (storage_ != nullptr) storage_->bind_metrics(&metrics_);
+  bind();
 }
 
 void Replica::update_state_gauges() {
@@ -484,6 +485,9 @@ void Replica::broadcast_causal(Bytes body) {
 }
 
 void Replica::on_message(NodeId /*from*/, BytesView msg) {
+  // Before start() the replica may not have replayed its kAccept/kVote
+  // records yet, and a vote now could contradict one it already cast.
+  if (!started_) return;
   charge(Op::kMsgOverhead, 0);
   charge(Op::kMac, msg.size());
   auto env = open_envelope(keys_, id(), msg);

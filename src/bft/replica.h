@@ -27,7 +27,7 @@
 
 namespace scab::bft {
 
-class Replica : public host::HostBound<ReplicaContext> {
+class Replica final : public host::HostBound<ReplicaContext> {
  public:
   /// `metrics` receives this replica's "bft."-prefixed instruments (plus
   /// whatever the app publishes); `tracer` is the cluster-wide request
@@ -36,16 +36,18 @@ class Replica : public host::HostBound<ReplicaContext> {
           const host::CostModel& costs, ReplicaApp* app, crypto::Drbg rng,
           obs::MetricsRegistry* metrics = nullptr,
           obs::Tracer* tracer = nullptr);
+  ~Replica() override { unbind(); }
 
-  /// Arms the watchdog; call once after construction.
+  /// Arms the watchdog and admits traffic: every message that arrives
+  /// before start() is dropped.  Call once, after recover().
   void start();
 
   /// Recovers durable state (DESIGN.md §13): loads the latest snapshot,
   /// then replays the WAL — acceptance records rebuild in-flight slots,
   /// execution records re-run delivery (with broadcasts suppressed), app
-  /// records replay causal executions.  Call once, after construction and
-  /// BEFORE start(), while the node is still shielded from traffic (the
-  /// harness/daemon crash-flag idiom).  No-op without attached storage.
+  /// records replay causal executions.  Call once, on the replica's own
+  /// executor, after construction and BEFORE start(); until start() the
+  /// replica drops all traffic.  No-op without attached storage.
   void recover();
 
   // --- host::Node ---

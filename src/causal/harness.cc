@@ -1,6 +1,7 @@
 #include "causal/harness.h"
 
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "abft/coin.h"
@@ -57,7 +58,7 @@ Cluster::Cluster(ClusterOptions options)
   if (options_.runtime == RuntimeKind::kSim) {
     host_ = std::make_unique<sim::SimHost>(*net_);
   } else {
-    // In-process loopback; fault-filter drop counters land in net_metrics_
+    // In-process loopback; fault-injector drop counters land in net_metrics_
     // so "net.drops.*" reads the same on either runtime.
     host_ = std::make_unique<rt::ThreadHost>(nullptr, &net_metrics_,
                                              options_.worker_threads);
@@ -119,29 +120,11 @@ Cluster::Cluster(ClusterOptions options)
     replica_apps_.push_back(make_replica_app(i));
     replica_metrics_.push_back(std::make_unique<obs::MetricsRegistry>());
     if (options_.engine == Engine::kPbftEngine) {
-      auto replica = std::make_unique<bft::Replica>(
+      replicas_.push_back(std::make_unique<bft::Replica>(
           *host_, i, cfg, *keys_, options_.costs, replica_apps_.back().get(),
           master_rng_.fork(seed_label(i, "replica")),
-          replica_metrics_.back().get(), &tracer_);
-      if (replica->has_storage() &&
-          options_.runtime == RuntimeKind::kThreads) {
-        // Recovery mutates protocol state, so it must run on the replica's
-        // own executor: an already-started peer could land traffic on this
-        // endpoint mid-replay.  The posted task runs before any message
-        // handling queued behind it.
-        bft::Replica* r = replica.get();
-        host_->post(i, [r] {
-          r->recover();
-          r->start();
-        });
-      } else {
-        // kSim: nothing runs until the simulator is stepped, so recovering
-        // inline is race-free and keeps event counts identical to a direct
-        // start when the store is empty.
-        if (replica->has_storage()) replica->recover();
-        replica->start();
-      }
-      replicas_.push_back(std::move(replica));
+          replica_metrics_.back().get(), &tracer_));
+      boot_replica(i);
     } else {
       auto replica = std::make_unique<abft::AsyncReplica>(
           *host_, i, cfg, *keys_, options_.costs, coin_->pk,
@@ -239,12 +222,23 @@ std::unique_ptr<bft::ReplicaApp> Cluster::make_replica_app(uint32_t i) {
   return app;
 }
 
+std::future<void> Cluster::boot_replica(uint32_t i) {
+  auto started = std::make_shared<std::promise<void>>();
+  std::future<void> done = started->get_future();
+  bft::Replica* r = replicas_.at(i).get();
+  host_->post(i, [r, started] {
+    r->recover();
+    r->start();
+    started->set_value();
+  });
+  return done;
+}
+
 void Cluster::crash_replica(uint32_t i) {
-  // Order matters: the crash flag shields the endpoint while its executor is
-  // quiesced (unbind joins the worker thread under kThreads), and only then
-  // does the replica object — all volatile protocol state — die.
+  // Order matters: the crash flag shields the endpoint while the replica's
+  // destructor unbinds it (joining its worker thread under kThreads), and
+  // only then does the rest of its volatile protocol state die.
   faults().crash(i);
-  host_->unbind(i);
   replicas_.at(i).reset();
   replica_apps_.at(i).reset();
   services_.at(i) = nullptr;
@@ -253,7 +247,7 @@ void Cluster::crash_replica(uint32_t i) {
 void Cluster::restart_replica(uint32_t i) {
   const uint32_t gen = ++replica_generation_.at(i);
   replica_apps_.at(i) = make_replica_app(i);
-  auto replica = std::make_unique<bft::Replica>(
+  replicas_.at(i) = std::make_unique<bft::Replica>(
       *host_, i, options_.bft, *keys_, options_.costs,
       replica_apps_.at(i).get(),
       // Generation-tagged fork: the reborn replica must not replay its old
@@ -263,11 +257,9 @@ void Cluster::restart_replica(uint32_t i) {
       replica_metrics_.at(i).get(), &tracer_);
   // Recover from the attached storage (a no-op without one) while the crash
   // flag still shields the endpoint: WAL replay re-drives the app, and any
-  // sends it attempts must go nowhere.  Only then readmit traffic — the
-  // crash flag kept messages away from the half-built endpoint.
-  replica->recover();
-  replica->start();
-  replicas_.at(i) = std::move(replica);
+  // sends it attempts must go nowhere.  Readmit traffic only once the
+  // replica has started.
+  boot_replica(i).wait();
   faults().restart(i);
 }
 

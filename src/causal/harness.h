@@ -14,6 +14,7 @@
 // header they need (bft/replica.h, causal/cp0.h, ...) themselves.
 #pragma once
 
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -150,13 +151,14 @@ class Cluster {
   host::FaultInjector& faults() { return *host_->fault_injector(); }
 
   /// Tears replica i down for real (PBFT engine only): marks it crashed at
-  /// the network, unbinds its endpoint (joining its worker thread under
-  /// kThreads, killing its timers under kSim), and destroys the replica and
-  /// its app — ALL volatile protocol state is gone.
+  /// the network, then destroys the replica, which unbinds its endpoint
+  /// first (joining its worker thread under kThreads, killing its timers
+  /// under kSim), and its app — ALL volatile protocol state is gone.
   void crash_replica(uint32_t i);
   /// Brings replica i back with empty volatile state (PBFT engine only):
-  /// fresh service/app/replica under the same id, re-bound and started, then
-  /// readmitted to the network.  It rejoins via the checkpoint catch-up
+  /// fresh service/app/replica under the same id, recovered from its
+  /// storage and started on its own executor (this call waits for both),
+  /// then readmitted to the network.  It rejoins via the checkpoint catch-up
   /// fetch; the metrics registry is reused so "bft.recovery.*" instruments
   /// span the restart.
   void restart_replica(uint32_t i);
@@ -201,6 +203,10 @@ class Cluster {
   /// Builds replica i's service + protocol app (registers the service in
   /// services_); shared by the constructor and restart_replica.
   std::unique_ptr<bft::ReplicaApp> make_replica_app(uint32_t i);
+  /// Boots replica i the way the daemon does: posts recover(); start() to
+  /// its executor (SimHost runs it inline).  The future is ready once the
+  /// replica has started, or once the host dropped the task.
+  std::future<void> boot_replica(uint32_t i);
 
   ClusterOptions options_;
   sim::Simulator sim_;

@@ -1,66 +1,100 @@
 // Runtime-agnostic fault injection (DESIGN.md §9).
 //
-// A host::FaultInjector is the seam through which tests, the chaos harness
-// and the fault benches inject failures without caring which runtime
-// carries the cluster:
+// One FaultInjector holds a cluster's crash/cut/delay/tamper state and
+// decides every message's fate, on both runtimes:
 //
-//   * sim::SimHost exposes one that delegates to the simulator's existing
-//     sim::FaultPlan — applied on send, bit-identical to driving the plan
-//     directly;
-//   * rt::ThreadHost implements the same surface as a filter in front of
-//     the per-node mailboxes, so a "crashed" node's traffic is dropped at
-//     the delivery chokepoint and a "delayed" link defers delivery on the
-//     receiver's own timer queue.
+//   * sim::Network consults it at send, and again at arrival for a node
+//     that crashed while the message was in flight;
+//   * rt::ThreadHost consults it in deliver(), the chokepoint every inbound
+//     message crosses whatever the transport, and defers a delayed link's
+//     messages onto the receiver's own timer queue.
 //
-// crash()/restart() here gate the node's NETWORK presence only; actually
-// tearing a node down and bringing it back with empty volatile state is the
-// layer above (causal::Cluster::crash_replica / restart_replica), which
-// combines the injector with host bind/unbind and object reconstruction.
+// Tests, the chaos harness and the fault benches reach it through
+// host::Host::fault_injector() without caring which runtime carries the
+// cluster.  crash()/restart() gate the node's NETWORK presence only;
+// tearing a node down and bringing it back with empty volatile state is
+// the layer above (causal::Cluster::crash_replica / restart_replica).
 //
-// Drops are attributed to the same "net.drops.{crash,cut,tamper}" counters
-// on both runtimes, so fault tests can assert attribution independently of
-// the runtime under test.
+// Drops are counted under "net.drops.{crash,cut,tamper}" in the registry
+// given at construction, so fault tests assert attribution independently
+// of the runtime under test.  The state is mutex-guarded: under
+// rt::ThreadHost every sender thread runs the check concurrently.
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/bytes.h"
 #include "host/time.h"
+#include "obs/metrics.h"
 
 namespace scab::host {
 
 class FaultInjector {
  public:
   /// Inspect/tamper hook: return std::nullopt to drop the message, or a
-  /// (possibly modified) payload to deliver.  Runs after crash/cut checks.
-  /// Under rt::ThreadHost the hook may be invoked concurrently from
-  /// multiple sender threads and must be thread-safe.
+  /// (possibly modified) payload to deliver.  Runs after the crash/cut
+  /// checks, outside the lock.  Under rt::ThreadHost it may be invoked
+  /// concurrently from multiple sender threads and must be thread-safe.
   using Tamper =
       std::function<std::optional<Bytes>(NodeId from, NodeId to, BytesView msg)>;
 
-  virtual ~FaultInjector() = default;
+  /// `metrics` (optional) receives the "net.drops.*" counters.
+  explicit FaultInjector(obs::MetricsRegistry* metrics = nullptr);
+
+  FaultInjector(const FaultInjector&) = delete;
+  FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Drops everything to and from `node` until restart(node).
-  virtual void crash(NodeId node) = 0;
+  void crash(NodeId node);
   /// Clears the crash flag: traffic to/from `node` flows again.
-  virtual void restart(NodeId node) = 0;
-  virtual bool is_crashed(NodeId node) const = 0;
+  void restart(NodeId node);
+  bool is_crashed(NodeId node) const;
 
   /// Drops messages on the directed link from -> to.
-  virtual void cut(NodeId from, NodeId to) = 0;
-  virtual void heal(NodeId from, NodeId to) = 0;
+  void cut(NodeId from, NodeId to);
+  void heal(NodeId from, NodeId to);
   /// Clears every cut and every per-link delay (crash flags stay).
-  virtual void heal_all() = 0;
+  void heal_all();
 
   /// Adds `extra` ns of one-way delay on the directed link from -> to
-  /// (0 removes it).  Delayed messages are not reordered relative to the
-  /// runtime's own delivery rules beyond the added latency.
-  virtual void delay(NodeId from, NodeId to, Time extra) = 0;
-  virtual void clear_delays() = 0;
+  /// (0 removes it), on top of the runtime's own delivery time.
+  void delay(NodeId from, NodeId to, Time extra);
+  void clear_delays();
 
-  virtual void set_tamper(Tamper t) = 0;
-  virtual void clear_tamper() = 0;
+  void set_tamper(Tamper t);
+  void clear_tamper();
+
+  /// Decides one message's fate.  Returns false when a crash, a cut or the
+  /// tamper hook drops it, counted under its reason.  Otherwise `msg` holds
+  /// the payload to deliver (rewritten in place when the tamper hook
+  /// changed it) and `*extra` the link's added delay.
+  bool admit(NodeId from, NodeId to, Bytes& msg, Time* extra);
+
+  /// The arrival-side check: false, counted as a crash drop, when `to`
+  /// crashed while a message to it was in flight.
+  bool reachable(NodeId to);
+
+ private:
+  static uint64_t key(NodeId a, NodeId b) {
+    return (static_cast<uint64_t>(a) << 32) | b;
+  }
+
+  mutable std::mutex mu_;
+  std::unordered_set<NodeId> crashed_;
+  std::unordered_set<uint64_t> cut_;
+  std::unordered_map<uint64_t, Time> delays_;
+  // Shared so admit() takes a reference under the lock and runs the hook
+  // outside it without copying the callable.
+  std::shared_ptr<const Tamper> tamper_;
+
+  obs::Counter& drops_crash_;
+  obs::Counter& drops_cut_;
+  obs::Counter& drops_tamper_;
 };
 
 }  // namespace scab::host

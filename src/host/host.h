@@ -11,25 +11,29 @@
 //
 // The contract every host provides (DESIGN.md §8):
 //
-//   Clock      now() — monotonic nanoseconds.  Virtual under the sim.
-//   Timers     schedule(node, delay, fn) — fn runs on `node`'s executor
-//              after >= delay.
-//   Transport  send(from, to, bytes) — unicast, unordered across pairs,
-//              FIFO per (from, to) not guaranteed by the interface (the
-//              protocols tolerate reordering by design).
-//   Executor   post(node, fn) — runs fn on `node`'s executor.  A node's
-//              handlers (on_message, timers, posted fns) NEVER run
-//              concurrently with each other: each node is a sequential
-//              process on every host, which is the invariant that keeps
-//              the protocol objects lock-free.
-//   charge     cost accounting hook.  The simulator turns charges into
-//              virtual busy-time (the paper's modeled CPU costs); real-time
-//              hosts ignore them — real work is measured, not modeled.
-//   Storage    storage(node) — durable per-node blob store + append log
-//              (host/storage.h), or nullptr when the node runs without
-//              durability.  Owned by the host; survives unbind/rebind.
+//   now()       monotonic nanoseconds.  Virtual under the sim.
+//   schedule()  schedule(node, delay, fn) — fn runs on `node`'s executor
+//               after >= delay.
+//   send()      send(from, to, bytes) — unicast, unordered across pairs,
+//               FIFO per (from, to) not guaranteed by the interface (the
+//               protocols tolerate reordering by design).
+//   post()      post(node, fn) — runs fn on `node`'s executor.  A node's
+//               handlers (on_message, timers, posted fns) NEVER run
+//               concurrently with each other: each node is a sequential
+//               process on every host, which is the invariant that keeps
+//               the protocol objects lock-free.
+//   submit()    hands a PoolJob to the crypto worker pool
+//               (host/worker_pool.h); inline by default.
+//   bind()      registers a fully built endpoint; unbind() retires it.
+//   charge()    cost accounting hook.  The simulator turns charges into
+//               virtual busy-time (the paper's modeled CPU costs); real-time
+//               hosts ignore them — real work is measured, not modeled.
+//   storage()   durable per-node blob store + append log (host/storage.h),
+//               or nullptr when the node runs without durability.  Owned by
+//               the host; survives unbind/rebind.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -52,49 +56,43 @@ class Node {
   virtual void on_message(NodeId from, BytesView msg) = 0;
 };
 
-class Clock {
+/// A complete runtime: clock, timers, transport, per-node executors and the
+/// crypto worker pool, plus endpoint registration and the cost-charging
+/// hook.  The inline submit default is what the deterministic simulator
+/// keeps; rt::ThreadHost overrides it with real threads.
+class Host {
  public:
-  virtual ~Clock() = default;
-  virtual Time now() const = 0;
-};
+  virtual ~Host() = default;
 
-class Timers {
- public:
-  virtual ~Timers() = default;
+  /// Monotonic nanoseconds.  Virtual under the simulator.
+  virtual Time now() const = 0;
+
   /// Runs `fn` on `node`'s executor once at least `delay` ns have passed.
   virtual void schedule(NodeId node, Time delay, std::function<void()> fn) = 0;
-};
 
-class Transport {
- public:
-  virtual ~Transport() = default;
   /// Sends `msg` from `from` to `to`; delivered via Node::on_message on the
   /// receiver's executor.  Delivery is best-effort (faults, crashes).
   virtual void send(NodeId from, NodeId to, Bytes msg) = 0;
-};
 
-class Executor {
- public:
-  virtual ~Executor() = default;
   /// Runs `fn` on `node`'s sequential executor.  The simulator host runs it
   /// inline (the caller IS the event loop); thread hosts enqueue it on the
   /// node's mailbox.  This is the only safe way to poke a node from outside
   /// its own handlers.
   virtual void post(NodeId node, std::function<void()> fn) = 0;
-};
 
-/// A complete runtime: clock + timers + transport + per-node executors +
-/// crypto worker pool, plus endpoint registration and the cost-charging
-/// hook.  The WorkerPool default (inline submit) is what the deterministic
-/// simulator keeps; rt::ThreadHost overrides it with real threads.
-class Host : public Clock,
-             public Timers,
-             public Transport,
-             public Executor,
-             public WorkerPool {
- public:
-  /// Registers `endpoint` as node `id`.  Must complete before any traffic
-  /// or timers target the node.
+  /// Runs `job` (on a pool thread, or inline) and posts its continuation to
+  /// `owner`'s executor (host/worker_pool.h contract).  Default: inline.
+  virtual void submit(NodeId owner, PoolJob job) {
+    (void)owner;
+    if (!job) return;
+    if (auto cont = job()) cont();
+  }
+
+  /// Number of real pool threads; 0 = inline execution.
+  virtual std::size_t pool_threads() const { return 0; }
+
+  /// Registers `endpoint` as node `id`.  Traffic and timers may reach the
+  /// endpoint as soon as this returns, so the endpoint must be fully built.
   virtual void bind(NodeId id, Node* endpoint) = 0;
   virtual void unbind(NodeId id) = 0;
 
@@ -125,19 +123,19 @@ class Host : public Clock,
 struct NoContext {};
 
 /// Mixin deduplicating the per-node host plumbing that every protocol class
-/// needs: identity, clock/timer/charge forwarding, and bind/unbind lifetime
-/// (bound on construction, unbound on destruction).  `Base` is the context
+/// needs: identity and clock/timer/charge forwarding.  `Base` is the context
 /// interface the class implements (bft::ReplicaContext), whose matching
 /// virtuals the forwarders implicitly override, or none (bft::Client hands
 /// each protocol a per-slot context instead).
+///
+/// The mixin never binds: the host may deliver to an endpoint the moment it
+/// is bound, so the most-derived class calls bind() as the last statement of
+/// its constructor and unbind() as the first statement of its destructor.
 template <class Base = NoContext>
 class HostBound : public Base, public Node {
  public:
   HostBound(Host& host, NodeId id, const CostModel& costs)
-      : host_(host), id_(id), costs_(costs) {
-    host_.bind(id_, this);
-  }
-  ~HostBound() override { host_.unbind(id_); }
+      : host_(host), id_(id), costs_(costs) {}
 
   HostBound(const HostBound&) = delete;
   HostBound& operator=(const HostBound&) = delete;
@@ -157,6 +155,8 @@ class HostBound : public Base, public Node {
   Host& host() const { return host_; }
 
  protected:
+  void bind() { host_.bind(id_, this); }
+  void unbind() { host_.unbind(id_); }
   void send_raw(NodeId to, Bytes msg) { host_.send(id_, to, std::move(msg)); }
   const CostModel& costs() const { return costs_; }
 

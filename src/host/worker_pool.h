@@ -18,18 +18,14 @@
 //   * submit() is called from the owner's own executor (a node offloading
 //     its own work), never cross-node.
 //
-// The default implementation runs the job and its continuation inline,
-// which trivially satisfies the contract and — because the caller IS the
-// owner's executor — is bit-identical to not offloading at all.  The
-// deterministic simulator keeps this default: a sim run with threads=8
-// replays exactly like threads=1.  rt::ThreadHost overrides it with a real
-// N-thread pool.
+// Host::submit's default runs the job and its continuation inline, which
+// trivially satisfies the contract and — because the caller IS the owner's
+// executor — is bit-identical to not offloading at all.  The deterministic
+// simulator keeps this default: a sim run with threads=8 replays exactly
+// like threads=1.  rt::ThreadHost overrides it with a real N-thread pool.
 #pragma once
 
-#include <cstddef>
 #include <functional>
-
-#include "host/time.h"
 
 namespace scab::host {
 
@@ -37,21 +33,5 @@ namespace scab::host {
 /// continuation to run on the owning node's executor (empty = nothing to
 /// post back).
 using PoolJob = std::function<std::function<void()>()>;
-
-class WorkerPool {
- public:
-  virtual ~WorkerPool() = default;
-
-  /// Runs `job` (on a pool thread, or inline) and posts its continuation to
-  /// `owner`'s executor.  See the contract above.
-  virtual void submit(NodeId owner, PoolJob job) {
-    (void)owner;
-    if (!job) return;
-    if (auto cont = job()) cont();
-  }
-
-  /// Number of real pool threads; 0 = inline execution.
-  virtual std::size_t pool_threads() const { return 0; }
-};
 
 }  // namespace scab::host

@@ -63,88 +63,6 @@ void ThreadHost::Worker::stop_and_join() {
 }
 
 // ---------------------------------------------------------------------------
-// Faults
-
-void ThreadHost::Faults::crash(host::NodeId node) {
-  std::lock_guard<std::mutex> lk(mu_);
-  crashed_.insert(node);
-}
-
-void ThreadHost::Faults::restart(host::NodeId node) {
-  std::lock_guard<std::mutex> lk(mu_);
-  crashed_.erase(node);
-}
-
-bool ThreadHost::Faults::is_crashed(host::NodeId node) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return crashed_.contains(node);
-}
-
-void ThreadHost::Faults::cut(host::NodeId from, host::NodeId to) {
-  std::lock_guard<std::mutex> lk(mu_);
-  cut_.insert(key(from, to));
-}
-
-void ThreadHost::Faults::heal(host::NodeId from, host::NodeId to) {
-  std::lock_guard<std::mutex> lk(mu_);
-  cut_.erase(key(from, to));
-}
-
-void ThreadHost::Faults::heal_all() {
-  std::lock_guard<std::mutex> lk(mu_);
-  cut_.clear();
-  delays_.clear();
-}
-
-void ThreadHost::Faults::delay(host::NodeId from, host::NodeId to,
-                               host::Time extra) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (extra == 0) {
-    delays_.erase(key(from, to));
-  } else {
-    delays_[key(from, to)] = extra;
-  }
-}
-
-void ThreadHost::Faults::clear_delays() {
-  std::lock_guard<std::mutex> lk(mu_);
-  delays_.clear();
-}
-
-void ThreadHost::Faults::set_tamper(Tamper t) {
-  std::lock_guard<std::mutex> lk(mu_);
-  tamper_ = std::move(t);
-}
-
-void ThreadHost::Faults::clear_tamper() {
-  std::lock_guard<std::mutex> lk(mu_);
-  tamper_ = nullptr;
-}
-
-ThreadHost::Faults::Verdict ThreadHost::Faults::filter(host::NodeId from,
-                                                       host::NodeId to,
-                                                       Bytes* msg,
-                                                       host::Time* extra) const {
-  *extra = 0;
-  Tamper tamper_copy;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (crashed_.contains(from) || crashed_.contains(to)) return Verdict::kDropCrash;
-    if (cut_.contains(key(from, to))) return Verdict::kDropCut;
-    if (auto it = delays_.find(key(from, to)); it != delays_.end()) {
-      *extra = it->second;
-    }
-    tamper_copy = tamper_;
-  }
-  if (tamper_copy) {
-    auto out = tamper_copy(from, to, *msg);
-    if (!out) return Verdict::kDropTamper;
-    *msg = std::move(*out);
-  }
-  return Verdict::kDeliver;
-}
-
-// ---------------------------------------------------------------------------
 // ThreadHost
 
 ThreadHost::ThreadHost(std::unique_ptr<rt::Transport> transport,
@@ -152,10 +70,7 @@ ThreadHost::ThreadHost(std::unique_ptr<rt::Transport> transport,
     : epoch_(SteadyClock::now()),
       transport_(transport ? std::move(transport)
                            : std::make_unique<ChannelTransport>()),
-      metrics_(metrics ? *metrics : obs::MetricsRegistry::inert()) {
-  m_.drops_crash = &metrics_.counter("net.drops.crash");
-  m_.drops_cut = &metrics_.counter("net.drops.cut");
-  m_.drops_tamper = &metrics_.counter("net.drops.tamper");
+      faults_(metrics) {
   pool_workers_.reserve(pool_threads);
   for (std::size_t i = 0; i < pool_threads; ++i) {
     pool_workers_.emplace_back([this] { pool_loop(); });
@@ -252,7 +167,7 @@ void ThreadHost::send(host::NodeId from, host::NodeId to, Bytes msg) {
 void ThreadHost::submit(host::NodeId owner, host::PoolJob job) {
   if (!job) return;
   if (pool_workers_.empty()) {
-    // No pool: the WorkerPool contract degenerates to inline execution on
+    // No pool: the pool contract degenerates to inline execution on
     // the caller (which IS the owner's executor — see host/worker_pool.h).
     if (auto cont = job()) cont();
     return;
@@ -307,22 +222,10 @@ void ThreadHost::pool_loop() {
 
 void ThreadHost::deliver(host::NodeId from, host::NodeId to, Bytes msg) {
   // The one chokepoint every inbound message funnels through, regardless of
-  // transport (channel, socket loopback, socket peer) — so the fault filter
-  // here gives the same coverage FaultPlan gives the simulator.
+  // transport (channel, socket loopback, socket peer) — so the fault check
+  // here covers what the simulator's Network checks at send.
   host::Time extra = 0;
-  switch (faults_.filter(from, to, &msg, &extra)) {
-    case Faults::Verdict::kDropCrash:
-      m_.drops_crash->inc();
-      return;
-    case Faults::Verdict::kDropCut:
-      m_.drops_cut->inc();
-      return;
-    case Faults::Verdict::kDropTamper:
-      m_.drops_tamper->inc();
-      return;
-    case Faults::Verdict::kDeliver:
-      break;
-  }
+  if (!faults_.admit(from, to, msg, &extra)) return;
   auto w = worker(to);
   if (!w) return;  // unknown destination: drop (mirrors the sim's Network)
   host::Node* ep = w->endpoint;

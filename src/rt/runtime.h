@@ -16,16 +16,16 @@
 //   submit     shared crypto worker pool (DESIGN.md §12): jobs fan out over
 //              `pool_threads` real threads; each completion is posted back
 //              to the owning node's mailbox.  0 threads = inline (the
-//              WorkerPool default, same sequencing as the simulator).
+//              Host::submit default, same sequencing as the simulator).
 //   charge     NO-OP: real time is measured, not modeled (DESIGN.md §8)
 //   stop       joins every worker; pending timers and tasks are dropped
 //
-// Fault injection (DESIGN.md §9): the host::FaultInjector surface is a
-// filter at the single delivery chokepoint in front of the mailboxes —
-// crashed nodes and cut links drop (attributed to the same
-// "net.drops.{crash,cut,tamper}" counters the simulator uses), delayed
-// links defer delivery onto the receiver's own timer queue, and the tamper
-// hook may rewrite or drop payloads.  Live unbind/rebind is supported: a
+// Fault injection (DESIGN.md §9): a host::FaultInjector, the class the
+// simulator's Network also uses, decides each message at the single delivery
+// chokepoint in front of the mailboxes — crashed nodes and cut links drop
+// (counted under "net.drops.{crash,cut,tamper}"), delayed links defer
+// delivery onto the receiver's own timer queue, and the tamper hook may
+// rewrite or drop payloads.  Live unbind/rebind is supported: a
 // node can be torn down mid-run (its worker joins, queued work dies with
 // it) and a replacement endpoint bound under the same id — this is what
 // Cluster::restart_replica rides on.
@@ -39,7 +39,6 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "host/host.h"
 #include "obs/metrics.h"
@@ -50,7 +49,7 @@ namespace scab::rt {
 class ThreadHost final : public host::Host {
  public:
   /// `transport` defaults to an in-process ChannelTransport.  `metrics`
-  /// (optional) receives the fault filter's "net.drops.*" counters.
+  /// (optional) receives the fault injector's "net.drops.*" counters.
   /// `pool_threads` sizes the shared crypto worker pool (0 = run submit()
   /// jobs inline on the caller).
   explicit ThreadHost(std::unique_ptr<rt::Transport> transport = nullptr,
@@ -108,45 +107,13 @@ class ThreadHost final : public host::Host {
     void stop_and_join();
   };
 
-  /// Mutex-guarded fault state, consulted by deliver() on every message.
-  class Faults final : public host::FaultInjector {
-   public:
-    void crash(host::NodeId node) override;
-    void restart(host::NodeId node) override;
-    bool is_crashed(host::NodeId node) const override;
-    void cut(host::NodeId from, host::NodeId to) override;
-    void heal(host::NodeId from, host::NodeId to) override;
-    void heal_all() override;
-    void delay(host::NodeId from, host::NodeId to, host::Time extra) override;
-    void clear_delays() override;
-    void set_tamper(Tamper t) override;
-    void clear_tamper() override;
-
-    enum class Verdict : uint8_t { kDeliver, kDropCrash, kDropCut, kDropTamper };
-    /// Applies the current plan to one message; may rewrite `msg` (tamper)
-    /// and sets `extra` to the link's added delay.  The tamper hook runs
-    /// outside the lock (it may be slow or reentrant).
-    Verdict filter(host::NodeId from, host::NodeId to, Bytes* msg,
-                   host::Time* extra) const;
-
-   private:
-    static uint64_t key(host::NodeId a, host::NodeId b) {
-      return (static_cast<uint64_t>(a) << 32) | b;
-    }
-    mutable std::mutex mu_;
-    std::unordered_set<host::NodeId> crashed_;
-    std::unordered_set<uint64_t> cut_;
-    std::unordered_map<uint64_t, host::Time> delays_;
-    Tamper tamper_;
-  };
-
   std::shared_ptr<Worker> worker(host::NodeId id) const;
   void deliver(host::NodeId from, host::NodeId to, Bytes msg);
   void pool_loop();
 
   const SteadyClock::time_point epoch_;
   std::unique_ptr<rt::Transport> transport_;
-  Faults faults_;
+  host::FaultInjector faults_;
   // shared_ptr: deliver()/post()/schedule() hold a reference across the
   // enqueue, so a concurrent live unbind (node restart) cannot free the
   // worker out from under them; push_* on a stopping worker is a no-op.
@@ -174,13 +141,6 @@ class ThreadHost final : public host::Host {
   std::deque<PoolTask> pool_tasks_;
   bool pool_stopping_ = false;
   std::vector<std::thread> pool_workers_;
-
-  obs::MetricsRegistry& metrics_;
-  struct {
-    obs::Counter* drops_crash;
-    obs::Counter* drops_cut;
-    obs::Counter* drops_tamper;
-  } m_;
 };
 
 }  // namespace scab::rt

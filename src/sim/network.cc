@@ -30,37 +30,16 @@ NetworkProfile NetworkProfile::ideal() {
   return p;
 }
 
-std::optional<Bytes> FaultPlan::apply(NodeId from, NodeId to, BytesView msg,
-                                      DropReason* reason) const {
-  if (reason) *reason = DropReason::kNone;
-  if (crashed_.contains(from) || crashed_.contains(to)) {
-    if (reason) *reason = DropReason::kCrash;
-    return std::nullopt;
-  }
-  if (cut_.contains(key(from, to))) {
-    if (reason) *reason = DropReason::kCut;
-    return std::nullopt;
-  }
-  if (tamper_) {
-    auto out = tamper_(from, to, msg);
-    if (!out && reason) *reason = DropReason::kTamper;
-    return out;
-  }
-  return Bytes(msg.begin(), msg.end());
-}
-
 Network::Network(Simulator& sim, NetworkProfile profile, uint64_t jitter_seed,
                  obs::MetricsRegistry* metrics)
     : sim_(sim),
       profile_(profile),
-      jitter_state_((jitter_seed * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL) | 1),
-      metrics_(metrics ? *metrics : obs::MetricsRegistry::inert()) {
+      metrics_(metrics ? *metrics : obs::MetricsRegistry::inert()),
+      faults_(&metrics_),
+      jitter_state_((jitter_seed * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL) | 1) {
   m_.sent = &metrics_.counter("net.messages_sent");
   m_.bytes = &metrics_.counter("net.bytes_sent");
   m_.delivered = &metrics_.counter("net.messages_delivered");
-  m_.drops_crash = &metrics_.counter("net.drops.crash");
-  m_.drops_cut = &metrics_.counter("net.drops.cut");
-  m_.drops_tamper = &metrics_.counter("net.drops.tamper");
   m_.egress_wait_ns = &metrics_.histogram("net.egress.wait_ns");
 }
 
@@ -75,9 +54,17 @@ obs::Counter& Network::egress_bytes_counter(NodeId from) {
   return *it->second;
 }
 
-void Network::attach(Node* node) { nodes_[node->id()] = node; }
+void Network::attach(NodeId id, host::Node* node) {
+  nodes_.insert_or_assign(id, Endpoint{node});
+}
 
 void Network::detach(NodeId id) { nodes_.erase(id); }
+
+void Network::charge(NodeId id, SimTime cost) {
+  auto it = nodes_.find(id);
+  if (it == nodes_.end()) return;
+  it->second.busy_until = ready_at(it->second) + cost;
+}
 
 void Network::send(NodeId from, NodeId to, Bytes msg) {
   ++messages_sent_;
@@ -88,29 +75,13 @@ void Network::send(NodeId from, NodeId to, Bytes msg) {
 
   if (!nodes_.contains(to)) return;
 
-  DropReason reason = DropReason::kNone;
-  auto shaped = faults_.apply(from, to, msg, &reason);
-  if (!shaped) {
-    switch (reason) {
-      case DropReason::kCrash:
-        m_.drops_crash->inc();
-        break;
-      case DropReason::kCut:
-        m_.drops_cut->inc();
-        break;
-      case DropReason::kTamper:
-        m_.drops_tamper->inc();
-        break;
-      case DropReason::kNone:
-        break;
-    }
-    return;
-  }
+  SimTime extra = 0;
+  if (!faults_.admit(from, to, msg, &extra)) return;
 
   // Departure: after the sender finishes the CPU work charged so far.
   SimTime depart = sim_.now();
   if (auto src = nodes_.find(from); src != nodes_.end()) {
-    depart = src->second->ready_at();
+    depart = ready_at(src->second);
   }
 
   // NIC serialization (bandwidth): every destination shares the sender's
@@ -134,45 +105,26 @@ void Network::send(NodeId from, NodeId to, Bytes msg) {
     jitter = jitter_state_ % profile_.link.jitter;
   }
 
-  const SimTime arrival =
-      free_at + profile_.link.latency + jitter + faults_.extra_delay(from, to);
-  deliver(from, to, std::move(*shaped), arrival);
-}
-
-void Network::broadcast(NodeId from, const Bytes& msg,
-                        const std::function<bool(NodeId)>& to_filter) {
-  // Deterministic order: ascending id.
-  std::vector<NodeId> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& [id, _] : nodes_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (NodeId id : ids) {
-    if (id == from) continue;
-    if (to_filter && !to_filter(id)) continue;
-    send(from, id, msg);
-  }
+  const SimTime arrival = free_at + profile_.link.latency + jitter + extra;
+  deliver(from, to, std::move(msg), arrival);
 }
 
 void Network::deliver(NodeId from, NodeId to, Bytes msg, SimTime arrival) {
   sim_.schedule_at(arrival, [this, from, to, msg = std::move(msg)]() mutable {
     auto it = nodes_.find(to);
     if (it == nodes_.end()) return;  // detached/restarted while in flight
-    Node* dst = it->second;
-    if (faults_.is_crashed(to)) {  // crashed while in flight
-      m_.drops_crash->inc();
-      return;
-    }
+    if (!faults_.reachable(to)) return;  // crashed while in flight
     // The receiver is a sequential processor: if it is still busy with
     // earlier work, requeue this delivery for when it frees up.  busy_until
     // only ever advances, so this converges.
-    const SimTime start = dst->ready_at();
+    const SimTime start = ready_at(it->second);
     if (start > sim_.now()) {
       deliver(from, to, std::move(msg), start);
       return;
     }
     ++messages_delivered_;
     m_.delivered->inc();
-    dst->on_message(from, msg);
+    it->second.node->on_message(from, msg);
   });
 }
 

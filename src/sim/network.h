@@ -10,60 +10,24 @@
 //  * Every node is a sequential processor: a handler starts at
 //    max(arrival, busy_until) and charges CPU cost through charge(); sends
 //    issued inside a handler depart when the charged work completes.
-//  * Faults are injected at the network boundary: crashed nodes, dropped
-//    links, and an arbitrary filter/tamper hook used by the Byzantine
-//    tests ("corrupt the decryption share of replica 2").
+//  * Faults are injected at the network boundary through the runtime-
+//    agnostic host::FaultInjector: crashed nodes, dropped links, per-link
+//    delay, and an arbitrary filter/tamper hook used by the Byzantine tests
+//    ("corrupt the decryption share of replica 2").
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/bytes.h"
-#include "host/cost_model.h"
+#include "host/host.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 
 namespace scab::sim {
 
-using NodeId = uint32_t;
-
-class Network;
-
-/// Base class for simulated processes (replicas, clients).
-class Node {
- public:
-  Node(Simulator& sim, NodeId id) : sim_(sim), id_(id) {}
-  virtual ~Node() = default;
-
-  Node(const Node&) = delete;
-  Node& operator=(const Node&) = delete;
-
-  NodeId id() const { return id_; }
-
-  /// Message delivery callback; invoked when this node's sequential
-  /// processor picks the message up.
-  virtual void on_message(NodeId from, BytesView msg) = 0;
-
-  /// Charges CPU time for work done inside the current handler. The node's
-  /// processor stays busy accordingly and subsequent sends depart later.
-  void charge(SimTime cost) { busy_until_ = std::max(busy_until_, sim_.now()) + cost; }
-  void charge(const host::CostModel& m, host::Op op, std::size_t bytes = 0) {
-    charge(m.cost(op, bytes));
-  }
-
-  /// The virtual time at which work charged so far completes.
-  SimTime ready_at() const { return std::max(busy_until_, sim_.now()); }
-
-  Simulator& sim() const { return sim_; }
-
- private:
-  friend class Network;
-  Simulator& sim_;
-  NodeId id_;
-  SimTime busy_until_ = 0;
-};
+using host::NodeId;
 
 /// Per-link shaping parameters.
 struct LinkProfile {
@@ -86,71 +50,6 @@ struct NetworkProfile {
   static NetworkProfile ideal();
 };
 
-/// Why FaultPlan::apply dropped a message — attributed to metrics so tests
-/// can assert "the partition dropped exactly these, nothing else did".
-enum class DropReason : uint8_t {
-  kNone = 0,   // delivered (possibly tampered in place)
-  kCrash,      // sender or receiver crashed
-  kCut,        // directed link cut
-  kTamper,     // tamper hook returned nullopt
-};
-
-/// Declarative fault injection, applied on send.
-class FaultPlan {
- public:
-  /// Drops everything to and from `node` from this virtual time on.
-  void crash(NodeId node) { crashed_.insert(node); }
-  bool is_crashed(NodeId node) const { return crashed_.contains(node); }
-  void recover(NodeId node) { crashed_.erase(node); }
-
-  /// Drops messages on the directed link a -> b.
-  void cut(NodeId from, NodeId to) { cut_.insert(key(from, to)); }
-  void heal(NodeId from, NodeId to) { cut_.erase(key(from, to)); }
-  /// Clears every cut and every per-link delay (crash flags stay).
-  void heal_all() {
-    cut_.clear();
-    delays_.clear();
-  }
-
-  /// Adds `extra` ns of one-way delay on the directed link a -> b; 0
-  /// removes the entry.  Applied by Network::send on top of the profile's
-  /// latency, so delayed messages still obey per-link FIFO-ish shaping.
-  void delay(NodeId from, NodeId to, SimTime extra) {
-    if (extra == 0) {
-      delays_.erase(key(from, to));
-    } else {
-      delays_[key(from, to)] = extra;
-    }
-  }
-  void clear_delays() { delays_.clear(); }
-  SimTime extra_delay(NodeId from, NodeId to) const {
-    auto it = delays_.find(key(from, to));
-    return it == delays_.end() ? 0 : it->second;
-  }
-
-  /// Arbitrary inspect/tamper hook: return std::nullopt to drop the
-  /// message, or a (possibly modified) payload to deliver.  Runs after the
-  /// crash/cut checks.
-  using Tamper =
-      std::function<std::optional<Bytes>(NodeId from, NodeId to, BytesView msg)>;
-  void set_tamper(Tamper t) { tamper_ = std::move(t); }
-  void clear_tamper() { tamper_ = nullptr; }
-
-  /// Applies the plan; nullopt means "drop".  When `reason` is non-null it
-  /// receives what dropped the message (kNone on delivery).
-  std::optional<Bytes> apply(NodeId from, NodeId to, BytesView msg,
-                             DropReason* reason = nullptr) const;
-
- private:
-  static uint64_t key(NodeId a, NodeId b) {
-    return (static_cast<uint64_t>(a) << 32) | b;
-  }
-  std::unordered_set<NodeId> crashed_;
-  std::unordered_set<uint64_t> cut_;
-  std::unordered_map<uint64_t, SimTime> delays_;
-  Tamper tamper_;
-};
-
 class Network {
  public:
   /// `metrics` (optional) receives "net.*" counters and the egress-wait
@@ -158,21 +57,21 @@ class Network {
   Network(Simulator& sim, NetworkProfile profile, uint64_t jitter_seed = 0,
           obs::MetricsRegistry* metrics = nullptr);
 
-  void attach(Node* node);
+  /// Attaches `node` as endpoint `id` (replacing any earlier one) with an
+  /// idle processor; detach() forgets it, and messages in flight to it drop.
+  void attach(NodeId id, host::Node* node);
   void detach(NodeId id);
+
+  /// Charges `cost` ns of CPU work to attached node `id`'s sequential
+  /// processor: it stays busy accordingly and its later sends depart later.
+  void charge(NodeId id, SimTime cost);
 
   /// Sends `msg` from `from` to `to`.  Departure waits for the sender's
   /// charged CPU work; the link applies serialization + latency + jitter;
   /// the receiver's sequential processor then schedules on_message.
   void send(NodeId from, NodeId to, Bytes msg);
 
-  /// Sends to every attached node except the sender (the broadcast used by
-  /// reveal phases).  Self-delivery is the caller's job if wanted.
-  void broadcast(NodeId from, const Bytes& msg,
-                 const std::function<bool(NodeId)>& to_filter = nullptr);
-
-  FaultPlan& faults() { return faults_; }
-  const FaultPlan& faults() const { return faults_; }
+  host::FaultInjector& faults() { return faults_; }
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
@@ -187,24 +86,30 @@ class Network {
   void deliver(NodeId from, NodeId to, Bytes msg, SimTime arrival);
   obs::Counter& egress_bytes_counter(NodeId from);
 
+  /// An attached endpoint and the virtual time its charged work completes.
+  struct Endpoint {
+    host::Node* node = nullptr;
+    SimTime busy_until = 0;
+  };
+  SimTime ready_at(const Endpoint& ep) const {
+    return std::max(ep.busy_until, sim_.now());
+  }
+
   Simulator& sim_;
   NetworkProfile profile_;
-  FaultPlan faults_;
-  std::unordered_map<NodeId, Node*> nodes_;
+  obs::MetricsRegistry& metrics_;
+  host::FaultInjector faults_;
+  std::unordered_map<NodeId, Endpoint> nodes_;
   std::unordered_map<NodeId, SimTime> egress_free_at_;
   uint64_t jitter_state_;
   uint64_t messages_sent_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t messages_delivered_ = 0;
 
-  obs::MetricsRegistry& metrics_;
   struct {
     obs::Counter* sent;
     obs::Counter* bytes;
     obs::Counter* delivered;
-    obs::Counter* drops_crash;
-    obs::Counter* drops_cut;
-    obs::Counter* drops_tamper;
     obs::Histogram* egress_wait_ns;  // start_tx - depart: NIC queueing delay
   } m_;
   // Per-sender egress byte counters ("net.egress.bytes.<id>"), resolved

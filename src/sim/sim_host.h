@@ -10,14 +10,16 @@
 //                                                 fault pipeline)
 //   post()      -> runs fn INLINE                (the caller already is the
 //                                                 single event loop)
-//   charge()    -> sim::Node::charge()           (virtual busy-time on the
+//   charge()    -> Network::charge()             (virtual busy-time on the
 //                                                 node's sequential CPU)
+//   bind()      -> Network::attach()             (the endpoint itself; the
+//                                                 Network keeps its busy
+//                                                 time, which shapes message
+//                                                 departure and delivery)
 //
-// so a protocol stack running on SimHost is bit-for-bit identical to the
-// pre-refactor code that subclassed sim::Node directly.  Each bound
-// endpoint gets an internal Adapter node attached to the Network; the
-// adapter owns the busy_until_ bookkeeping that shapes message departure
-// and delivery times.
+// so a protocol stack running on SimHost replays bit-for-bit identically
+// whatever the host seam looks like above it (tests/determinism_test.cc
+// pins the digests).
 //
 // Node restart support: every bind bumps the node's epoch, and a scheduled
 // timer only fires if its node's epoch is unchanged — so timers armed by a
@@ -25,9 +27,8 @@
 // running against freed state.  The guard adds no events and no RNG draws:
 // event times, counts and ordering are untouched.
 //
-// fault_injector() delegates to the Network's FaultPlan — the runtime-
-// agnostic host::FaultInjector surface is bit-identical to driving
-// net().faults() directly.
+// fault_injector() is the Network's host::FaultInjector, the one the
+// Network consults on every send.
 #pragma once
 
 #include <memory>
@@ -40,7 +41,7 @@ namespace scab::sim {
 
 class SimHost final : public host::Host {
  public:
-  explicit SimHost(Network& net) : net_(net), faults_(net) {}
+  explicit SimHost(Network& net) : net_(net) {}
 
   host::Time now() const override { return net_.sim().now(); }
 
@@ -68,7 +69,7 @@ class SimHost final : public host::Host {
   void unbind(host::NodeId id) override;
   void charge(host::NodeId node, host::Time cost) override;
 
-  host::FaultInjector* fault_injector() override { return &faults_; }
+  host::FaultInjector* fault_injector() override { return &net_.faults(); }
 
   /// Attaches (or replaces) durable storage for `id`.  The host owns it;
   /// it survives unbind/rebind, so a torn-down endpoint's replacement
@@ -87,55 +88,12 @@ class SimHost final : public host::Host {
   Network& net() { return net_; }
 
  private:
-  /// The sim::Node the Network sees for one bound endpoint: relays
-  /// deliveries and carries the sequential-CPU busy time.
-  class Adapter : public Node {
-   public:
-    Adapter(Simulator& sim, NodeId id, host::Node* endpoint)
-        : Node(sim, id), endpoint_(endpoint) {}
-    void on_message(NodeId from, BytesView msg) override {
-      endpoint_->on_message(from, msg);
-    }
-
-   private:
-    host::Node* endpoint_;
-  };
-
-  /// host::FaultInjector as a thin veneer over the Network's FaultPlan.
-  class Faults final : public host::FaultInjector {
-   public:
-    explicit Faults(Network& net) : net_(net) {}
-    void crash(host::NodeId node) override { net_.faults().crash(node); }
-    void restart(host::NodeId node) override { net_.faults().recover(node); }
-    bool is_crashed(host::NodeId node) const override {
-      return net_.faults().is_crashed(node);
-    }
-    void cut(host::NodeId from, host::NodeId to) override {
-      net_.faults().cut(from, to);
-    }
-    void heal(host::NodeId from, host::NodeId to) override {
-      net_.faults().heal(from, to);
-    }
-    void heal_all() override { net_.faults().heal_all(); }
-    void delay(host::NodeId from, host::NodeId to, host::Time extra) override {
-      net_.faults().delay(from, to, extra);
-    }
-    void clear_delays() override { net_.faults().clear_delays(); }
-    void set_tamper(Tamper t) override { net_.faults().set_tamper(std::move(t)); }
-    void clear_tamper() override { net_.faults().clear_tamper(); }
-
-   private:
-    Network& net_;
-  };
-
   uint64_t epoch_of(host::NodeId node) const {
     auto it = bind_epochs_.find(node);
     return it == bind_epochs_.end() ? 0 : it->second;
   }
 
   Network& net_;
-  Faults faults_;
-  std::unordered_map<host::NodeId, std::unique_ptr<Adapter>> adapters_;
   // Owned durable storage per node; deliberately NOT cleared on unbind.
   std::unordered_map<host::NodeId, std::unique_ptr<host::Storage>> storage_;
   // Bumped on every bind AND unbind, so timers from any earlier lifetime of

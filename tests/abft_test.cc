@@ -168,7 +168,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, AsyncEngineTest,
 TEST(AsyncEngine, SurvivesCrashedReplica) {
   auto opts = async_options(Protocol::kPbft);
   Cluster cluster(opts);
-  cluster.net().faults().crash(3);  // f = 1 tolerated, no view change needed
+  cluster.faults().crash(3);  // f = 1 tolerated, no view change needed
   auto r = cluster.run_one(0, apps::KvStore::put("a", to_bytes("b")), 120 * kSecond);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, to_bytes("ok"));

@@ -41,7 +41,7 @@ TEST(Byzantine, EquivocatingPrimaryCannotSplitState) {
   opts.bft.checkpoint_interval = 8;  // quick catch-up for the lagging replica
   Cluster cluster(opts);
 
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId to, BytesView msg) -> std::optional<Bytes> {
         if (from != 0 || to != 2) return Bytes(msg.begin(), msg.end());
         // Only rewrite PRE-PREPAREs from the primary to replica 2.
@@ -77,7 +77,7 @@ TEST(Byzantine, EquivocatingPrimaryCannotSplitState) {
 
   // Drive enough further traffic for a stable checkpoint; replica 2 then
   // detects it is behind and catches up via fetch — with the HONEST batch.
-  cluster.net().faults().clear_tamper();
+  cluster.faults().clear_tamper();
   auto& client = cluster.client(0);
   client.run_closed_loop(
       [](uint64_t i) {
@@ -133,7 +133,7 @@ TEST(Byzantine, SurvivesLossyReplicaLinks) {
   Cluster cluster(opts);
 
   uint64_t rng_state = 0x12345678;
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId to, BytesView msg) -> std::optional<Bytes> {
         rng_state ^= rng_state << 13;
         rng_state ^= rng_state >> 7;
@@ -158,7 +158,7 @@ TEST(Byzantine, SurvivesLossyReplicaLinks) {
 
   // Drain in-flight work, then compare state divergence-free across the
   // replicas that executed everything.
-  cluster.net().faults().clear_tamper();
+  cluster.faults().clear_tamper();
   cluster.sim().run_until(cluster.sim().now() + 100 * kMillisecond);
   std::size_t max_size = 0;
   for (uint32_t i = 0; i < cluster.n(); ++i) {
@@ -467,7 +467,7 @@ TEST(Byzantine, Cp0UndecryptableBoxCannotStallLaterRequests) {
   opts.num_clients = 2;
   Cluster cluster(opts);
   const NodeId cheater = Cluster::client_id(1);
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId to, BytesView msg) -> std::optional<Bytes> {
         Bytes out(msg.begin(), msg.end());
         if (from != cheater) return out;

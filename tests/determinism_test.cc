@@ -78,7 +78,7 @@ TEST_P(DeterminismTest, SameSeedSameExecutionToTheNanosecond) {
 
 TEST_P(DeterminismTest, WorkerThreadKnobDoesNotPerturbSimRuns) {
   // The crypto worker-pool knob (ClusterOptions::worker_threads, DESIGN.md
-  // §12) is a no-op under the simulator: SimHost keeps the WorkerPool
+  // §12) is a no-op under the simulator: SimHost keeps the Host::submit
   // default, which runs offloaded jobs and their continuations inline on
   // the owner's executor.  A sim run with threads=8 must therefore replay
   // BIT-IDENTICALLY against threads=0 — the property that lets the same

@@ -4,8 +4,12 @@
 
 #include "apps/kvstore.h"
 #include "bft/client.h"
+#include "bft/envelope.h"
+#include "bft/keyring.h"
 #include "bft/replica.h"
 #include "causal/harness.h"
+#include "causal/plain.h"
+#include "sim/sim_host.h"
 
 namespace scab::causal {
 namespace {
@@ -107,9 +111,55 @@ TEST(Pbft, CheckpointsAdvanceTheWatermark) {
   }
 }
 
+// A bound replica that has not started may not have replayed its kAccept
+// and kVote records yet, so a vote now could contradict one it cast before
+// a crash.  scabd and perfbench bind the replica before their posted
+// recover(); start() runs, and peers may already be sending: everything
+// that arrives before start() must be dropped.
+TEST(Pbft, BoundReplicaDropsTrafficUntilStarted) {
+  sim::Simulator sim;
+  sim::Network net(sim, sim::NetworkProfile::ideal());
+  sim::SimHost host(net);
+  struct Peer final : host::Node {
+    void on_message(NodeId, BytesView) override { ++received; }
+    uint64_t received = 0;
+  };
+  const NodeId peer_ids[] = {0, 2, 3};
+  Peer peers[3];
+  for (int k = 0; k < 3; ++k) host.bind(peer_ids[k], &peers[k]);
+
+  const bft::BftConfig cfg = bft::BftConfig::for_f(1);
+  const bft::KeyRing keys(to_bytes("pre-start"), {0, 1, 2, 3});
+  obs::MetricsRegistry metrics;
+  PlainReplicaApp app(std::make_unique<EchoService>(0));
+  bft::Replica replica(host, 1, cfg, keys, host::CostModel::zero(), &app,
+                       crypto::Drbg(to_bytes("replica-1")), &metrics);
+
+  // A valid pre-prepare from the view-0 primary.
+  bft::PrePrepare pp;
+  pp.view = 0;
+  pp.seq = 1;
+  pp.batch = {bft::Request{Cluster::client_id(0), 1, to_bytes("op")}};
+  const Bytes wire = bft::seal_envelope(
+      keys, bft::Channel::kBft, 0, 1,
+      bft::tag_bft(bft::BftMsgType::kPrePrepare, pp.serialize()));
+
+  replica.on_message(0, wire);
+  sim.run();
+  EXPECT_EQ(metrics.counter_value("bft.pre_prepares_accepted"), 0u);
+  EXPECT_EQ(net.messages_sent(), 0u) << "the unstarted replica voted";
+
+  // Once started, the same message is accepted and answered with PREPAREs.
+  replica.start();
+  replica.on_message(0, wire);
+  sim.run_until(sim.now() + 10 * kMillisecond);
+  EXPECT_EQ(metrics.counter_value("bft.pre_prepares_accepted"), 1u);
+  for (const Peer& p : peers) EXPECT_EQ(p.received, 1u);
+}
+
 TEST(Pbft, SurvivesBackupCrash) {
   Cluster cluster(base_options());
-  cluster.net().faults().crash(2);  // one backup; f = 1 tolerated
+  cluster.faults().crash(2);  // one backup; f = 1 tolerated
   auto& client = cluster.client(0);
   client.run_closed_loop([](uint64_t) { return Bytes(16, 3); }, 15);
   cluster.sim().run_while([&] { return client.completed_ops() >= 15; });
@@ -123,7 +173,7 @@ TEST(Pbft, PrimaryCrashTriggersViewChangeAndRecovers) {
   opts.bft.watchdog_period = 200 * kMillisecond;
   Cluster cluster(opts);
 
-  cluster.net().faults().crash(0);  // the view-0 primary is dead
+  cluster.faults().crash(0);  // the view-0 primary is dead
   const auto result = cluster.run_one(0, to_bytes("survive"), 60 * kSecond);
   ASSERT_TRUE(result.has_value());
   for (uint32_t i = 1; i < cluster.n(); ++i) {
@@ -139,13 +189,13 @@ TEST(Pbft, RepeatedPrimaryFailuresAdvanceViews) {
   Cluster cluster(opts);
 
   // Kill primaries of views 0 and 1: the cluster must reach view >= 2.
-  cluster.net().faults().crash(0);
-  cluster.net().faults().crash(1);
+  cluster.faults().crash(0);
+  cluster.faults().crash(1);
   // f = 1 but two crashed replicas: the remaining 2 < 2f+1 cannot commit.
   // So instead: recover 1 after the first view change.
   const auto unreachable = cluster.run_one(0, to_bytes("x"), 3 * kSecond);
   EXPECT_FALSE(unreachable.has_value());
-  cluster.net().faults().recover(1);
+  cluster.faults().restart(1);
   const auto result = cluster.run_one(0, to_bytes("y"), 60 * kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_GE(cluster.replica(2).view(), 1u);
@@ -157,8 +207,8 @@ TEST(Pbft, LaggingReplicaCatchesUpViaFetch) {
   Cluster cluster(opts);
 
   // Isolate replica 3's inbound links: it misses everything.
-  for (NodeId r = 0; r < 3; ++r) cluster.net().faults().cut(r, 3);
-  cluster.net().faults().cut(Cluster::client_id(0), 3);
+  for (NodeId r = 0; r < 3; ++r) cluster.faults().cut(r, 3);
+  cluster.faults().cut(Cluster::client_id(0), 3);
 
   auto& client = cluster.client(0);
   client.run_closed_loop([](uint64_t) { return Bytes(8, 4); }, 30);
@@ -166,8 +216,8 @@ TEST(Pbft, LaggingReplicaCatchesUpViaFetch) {
   EXPECT_EQ(cluster.replica(3).executed_requests(), 0u);
 
   // Heal and push more traffic so new checkpoints reach replica 3.
-  for (NodeId r = 0; r < 3; ++r) cluster.net().faults().heal(r, 3);
-  cluster.net().faults().heal(Cluster::client_id(0), 3);
+  for (NodeId r = 0; r < 3; ++r) cluster.faults().heal(r, 3);
+  cluster.faults().heal(Cluster::client_id(0), 3);
   client.run_closed_loop([](uint64_t) { return Bytes(8, 5); }, 30);
   const bool caught_up = cluster.sim().run_while([&] {
     return cluster.replica(3).executed_requests() >= 50 ||
@@ -188,7 +238,7 @@ TEST(Pbft, FairnessWatchdogDemotesStarvingPrimary) {
   opts.profile = sim::NetworkProfile::lan();  // realistic pacing
   Cluster cluster(opts);
 
-  cluster.net().faults().cut(Cluster::client_id(1), 0);  // primary never sees c1
+  cluster.faults().cut(Cluster::client_id(1), 0);  // primary never sees c1
 
   auto& happy = cluster.client(0);
   happy.run_closed_loop([](uint64_t) { return Bytes(8, 6); }, 0);

@@ -77,13 +77,14 @@ TEST(Simulator, RunWhilePredicate) {
 
 // ---------------------------------------------------------------------------
 
-class Recorder : public Node {
+class Recorder : public host::Node {
  public:
-  using Node::Node;
+  Recorder(Network& net, NodeId id) : net_(net), id_(id) {}
 
   void on_message(NodeId from, BytesView msg) override {
-    received.emplace_back(from, Bytes(msg.begin(), msg.end()), sim().now());
-    if (cost_per_message > 0) charge(cost_per_message);
+    received.emplace_back(from, Bytes(msg.begin(), msg.end()),
+                          net_.sim().now());
+    if (cost_per_message > 0) net_.charge(id_, cost_per_message);
   }
 
   struct Rx {
@@ -94,14 +95,18 @@ class Recorder : public Node {
   };
   std::vector<Rx> received;
   SimTime cost_per_message = 0;
+
+ private:
+  Network& net_;
+  NodeId id_;
 };
 
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest() : net_(sim_, NetworkProfile::ideal()) {
     for (NodeId i = 0; i < 3; ++i) {
-      nodes_.push_back(std::make_unique<Recorder>(sim_, i));
-      net_.attach(nodes_.back().get());
+      nodes_.push_back(std::make_unique<Recorder>(net_, i));
+      net_.attach(i, nodes_.back().get());
     }
   }
 
@@ -119,21 +124,6 @@ TEST_F(NetworkTest, PointToPointDelivery) {
   EXPECT_TRUE(nodes_[0]->received.empty());
 }
 
-TEST_F(NetworkTest, BroadcastSkipsSender) {
-  net_.broadcast(0, to_bytes("b"));
-  sim_.run();
-  EXPECT_TRUE(nodes_[0]->received.empty());
-  EXPECT_EQ(nodes_[1]->received.size(), 1u);
-  EXPECT_EQ(nodes_[2]->received.size(), 1u);
-}
-
-TEST_F(NetworkTest, BroadcastFilter) {
-  net_.broadcast(0, to_bytes("b"), [](NodeId id) { return id == 2; });
-  sim_.run();
-  EXPECT_TRUE(nodes_[1]->received.empty());
-  EXPECT_EQ(nodes_[2]->received.size(), 1u);
-}
-
 TEST_F(NetworkTest, UnknownDestinationIsDroppedSilently) {
   net_.send(0, 99, to_bytes("x"));
   sim_.run();
@@ -148,7 +138,7 @@ TEST_F(NetworkTest, CrashedNodeNeitherSendsNorReceives) {
   EXPECT_TRUE(nodes_[1]->received.empty());
   EXPECT_TRUE(nodes_[2]->received.empty());
 
-  net_.faults().recover(1);
+  net_.faults().restart(1);
   net_.send(0, 1, to_bytes("back"));
   sim_.run();
   EXPECT_EQ(nodes_[1]->received.size(), 1u);
@@ -187,9 +177,9 @@ TEST(NetworkTiming, LatencyIsApplied) {
   NetworkProfile p;  // ideal + explicit latency
   p.link.latency = 5 * kMillisecond;
   Network net(sim, p);
-  Recorder a(sim, 0), b(sim, 1);
-  net.attach(&a);
-  net.attach(&b);
+  Recorder a(net, 0), b(net, 1);
+  net.attach(0, &a);
+  net.attach(1, &b);
   net.send(0, 1, to_bytes("m"));
   sim.run();
   ASSERT_EQ(b.received.size(), 1u);
@@ -201,9 +191,9 @@ TEST(NetworkTiming, BandwidthSerializesLargeMessages) {
   NetworkProfile p;
   p.link.bandwidth_bps = 1'000'000;  // 1 MB/s: 1000 bytes take 1 ms
   Network net(sim, p);
-  Recorder a(sim, 0), b(sim, 1);
-  net.attach(&a);
-  net.attach(&b);
+  Recorder a(net, 0), b(net, 1);
+  net.attach(0, &a);
+  net.attach(1, &b);
   net.send(0, 1, Bytes(1000, 0));
   sim.run();
   ASSERT_EQ(b.received.size(), 1u);
@@ -215,9 +205,9 @@ TEST(NetworkTiming, BackToBackMessagesQueueOnTheLink) {
   NetworkProfile p;
   p.link.bandwidth_bps = 1'000'000;
   Network net(sim, p);
-  Recorder a(sim, 0), b(sim, 1);
-  net.attach(&a);
-  net.attach(&b);
+  Recorder a(net, 0), b(net, 1);
+  net.attach(0, &a);
+  net.attach(1, &b);
   net.send(0, 1, Bytes(1000, 0));
   net.send(0, 1, Bytes(1000, 0));
   sim.run();
@@ -233,10 +223,10 @@ TEST(NetworkTiming, EgressPipeSharedAcrossDestinations) {
   NetworkProfile p;
   p.link.bandwidth_bps = 1'000'000;
   Network net(sim, p);
-  Recorder a(sim, 0), b(sim, 1), c(sim, 2);
-  net.attach(&a);
-  net.attach(&b);
-  net.attach(&c);
+  Recorder a(net, 0), b(net, 1), c(net, 2);
+  net.attach(0, &a);
+  net.attach(1, &b);
+  net.attach(2, &c);
   net.send(0, 1, Bytes(1000, 0));
   net.send(0, 2, Bytes(1000, 0));
   sim.run();
@@ -249,10 +239,10 @@ TEST(NetworkTiming, DistinctSendersDoNotInterfere) {
   NetworkProfile p;
   p.link.bandwidth_bps = 1'000'000;
   Network net(sim, p);
-  Recorder a(sim, 0), b(sim, 1), c(sim, 2);
-  net.attach(&a);
-  net.attach(&b);
-  net.attach(&c);
+  Recorder a(net, 0), b(net, 1), c(net, 2);
+  net.attach(0, &a);
+  net.attach(1, &b);
+  net.attach(2, &c);
   net.send(0, 2, Bytes(1000, 0));
   net.send(1, 2, Bytes(1000, 0));
   sim.run();
@@ -264,10 +254,10 @@ TEST(NetworkTiming, DistinctSendersDoNotInterfere) {
 TEST(NetworkTiming, ReceiverCpuSerializesHandlers) {
   Simulator sim;
   Network net(sim, NetworkProfile{});  // literal zero latency
-  Recorder a(sim, 0), b(sim, 1);
+  Recorder a(net, 0), b(net, 1);
   b.cost_per_message = 10 * kMillisecond;
-  net.attach(&a);
-  net.attach(&b);
+  net.attach(0, &a);
+  net.attach(1, &b);
   net.send(0, 1, to_bytes("m1"));
   net.send(0, 1, to_bytes("m2"));
   net.send(0, 1, to_bytes("m3"));
@@ -281,12 +271,12 @@ TEST(NetworkTiming, ReceiverCpuSerializesHandlers) {
 TEST(NetworkTiming, SenderCpuDelaysDeparture) {
   Simulator sim;
   Network net(sim, NetworkProfile{});  // literal zero latency
-  Recorder a(sim, 0), b(sim, 1);
-  net.attach(&a);
-  net.attach(&b);
+  Recorder a(net, 0), b(net, 1);
+  net.attach(0, &a);
+  net.attach(1, &b);
   // Node 0 does 7 ms of work, then sends (as a protocol handler would).
   sim.schedule_at(0, [&] {
-    a.charge(7 * kMillisecond);
+    net.charge(0, 7 * kMillisecond);
     net.send(0, 1, to_bytes("after-work"));
   });
   sim.run();
@@ -300,9 +290,9 @@ TEST(NetworkTiming, JitterIsBoundedAndDeterministic) {
     NetworkProfile p;
     p.link.jitter = kMillisecond;
     Network net(sim, p, seed);
-    Recorder a(sim, 0), b(sim, 1);
-    net.attach(&a);
-    net.attach(&b);
+    Recorder a(net, 0), b(net, 1);
+    net.attach(0, &a);
+    net.attach(1, &b);
     std::vector<SimTime> arrivals;
     for (int i = 0; i < 10; ++i) net.send(0, 1, to_bytes("m"));
     sim.run();

@@ -1,6 +1,7 @@
-// The crypto worker-pool seam (host/worker_pool.h, DESIGN.md §12):
+// The crypto worker-pool seam (Host::submit, host/worker_pool.h, DESIGN.md
+// §12):
 //
-//  * the default (inline) submit runs job then continuation synchronously
+//  * Host::submit's inline default runs job then continuation synchronously
 //    on the caller — the sequencing the deterministic simulator keeps;
 //  * rt::ThreadHost's real pool runs jobs on pool threads but posts every
 //    continuation back to the OWNER's sequential executor — the invariant
@@ -23,9 +24,10 @@
 
 #include <gtest/gtest.h>
 
-#include "host/worker_pool.h"
+#include "host/host.h"
 #include "obs/metrics.h"
 #include "rt/runtime.h"
+#include "sim/sim_host.h"
 
 namespace scab {
 namespace {
@@ -49,9 +51,17 @@ bool eventually(Pred&& pred) {
   return true;
 }
 
+/// The deterministic simulator's host, which keeps Host::submit's inline
+/// default.
+struct InlinePool {
+  sim::Simulator sim;
+  sim::Network net{sim, sim::NetworkProfile::ideal()};
+  sim::SimHost host{net};
+};
+
 TEST(WorkerPoolInline, DefaultRunsJobThenContinuationSynchronously) {
-  struct InlinePool final : host::WorkerPool {};
-  InlinePool pool;
+  InlinePool inline_pool;
+  host::Host& pool = inline_pool.host;
   EXPECT_EQ(pool.pool_threads(), 0u);
 
   std::vector<int> order;
@@ -66,8 +76,8 @@ TEST(WorkerPoolInline, DefaultRunsJobThenContinuationSynchronously) {
 }
 
 TEST(WorkerPoolInline, EmptyJobAndEmptyContinuationAreNoOps) {
-  struct InlinePool final : host::WorkerPool {};
-  InlinePool pool;
+  InlinePool inline_pool;
+  host::Host& pool = inline_pool.host;
   pool.submit(1, nullptr);  // must not crash
   bool ran = false;
   pool.submit(1, [&ran]() -> std::function<void()> {
