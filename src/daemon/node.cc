@@ -33,6 +33,13 @@ std::optional<crypto::ModGroup> preset_group(const ClusterConfig& cfg) {
   return std::nullopt;
 }
 
+/// Mixes fresh OS entropy into a node's forked stream: a restarted process
+/// must not repeat its predecessor's draws (CP0 proof nonces among them).
+crypto::Drbg with_os_entropy(crypto::Drbg rng) {
+  rng.reseed(crypto::Drbg::from_os_entropy().generate(32));
+  return rng;
+}
+
 }  // namespace
 
 StackBundle::StackBundle(const ClusterConfig& cfg)
@@ -53,12 +60,13 @@ causal::StackContext StackBundle::context() const {
 }
 
 crypto::Drbg StackBundle::replica_rng(uint32_t replica_id) {
-  return master_rng_.fork(causal::seed_label(replica_id, "replica"));
+  return with_os_entropy(
+      master_rng_.fork(causal::seed_label(replica_id, "replica")));
 }
 
 crypto::Drbg StackBundle::client_rng(uint32_t client_id) {
-  return master_rng_.fork(
-      causal::seed_label(client_id - causal::kClientBase, "client"));
+  return with_os_entropy(master_rng_.fork(
+      causal::seed_label(client_id - causal::kClientBase, "client")));
 }
 
 std::string format_dump_record(uint32_t node, causal::Protocol protocol,
@@ -112,9 +120,8 @@ ReplicaDaemon::ReplicaDaemon(const ClusterConfig& cfg, uint32_t replica_id)
   auto replica = std::make_unique<bft::Replica>(
       *host_, id_, cfg_.bft, bundle_.keys(), host::CostModel::zero(),
       app_.get(), bundle_.replica_rng(id_), &metrics_, &tracer_);
-  // Peers may already be up and talking, so recovery — which must complete
-  // before any live traffic mutates the rebuilt state — runs as the
-  // endpoint's first task, ahead of anything the transport delivers.
+  // Peers may already be up and talking: the bound replica drops their
+  // traffic until start(), and recovery runs on its own executor first.
   bft::Replica* r = replica.get();
   host_->post(id_, [r] {
     r->recover();

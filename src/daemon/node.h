@@ -8,7 +8,7 @@
 // config) -> rt::ThreadHost -> causal replica app -> bft::Replica, all
 // through the same causal/stack.h factories the harness uses.
 //
-// Observability: everything (transport errors, fault-filter drops, the
+// Observability: everything (transport errors, fault-injector drops, the
 // replica's bft.* instruments, the request tracer) lands in one
 // MetricsRegistry per process; dump_json() renders the whole record and
 // dump_to() writes it atomically — this is what scabd emits on SIGUSR1.
@@ -47,8 +47,12 @@ class StackBundle {
   const bft::KeyRing& keys() const { return keys_; }
   causal::StackContext context() const;
 
-  /// Per-node randomness, forked exactly like the in-process harness:
-  /// replicas by id, clients by index (id - kClientBase).
+  /// Per-node randomness: forked like the in-process harness (replicas by
+  /// id, clients by index = id - kClientBase), then reseeded from OS
+  /// entropy.  Every call, and so every incarnation of a restarted process,
+  /// draws a fresh stream: a repeated stream would repeat CP0's share-proof
+  /// nonces across incarnations, and two proofs under one nonce give away
+  /// the replica's key share.  Keys and material stay dealer-derived.
   crypto::Drbg replica_rng(uint32_t replica_id);
   crypto::Drbg client_rng(uint32_t client_id);
 

@@ -201,6 +201,23 @@ TEST(StackBundle, IdenticalAcrossIndependentDerivations) {
   EXPECT_EQ(one.material().group->p(), two.material().group->p());
 }
 
+// Keys and material come from the dealer seed, but each bundle (each
+// incarnation of a scabd or scab-client process) draws fresh per-node
+// randomness: a restarted replica that repeated its predecessor's stream
+// would reuse CP0 share-proof nonces, which gives away its key share.
+TEST(StackBundle, NodeRandomnessIsFreshPerIncarnation) {
+  std::string err;
+  auto cfg = parse_cluster_config(kGoodConfig, &err);
+  ASSERT_TRUE(cfg) << err;
+  cfg->dealer_seed = 4242;
+
+  StackBundle one(*cfg);
+  StackBundle two(*cfg);
+  EXPECT_NE(one.replica_rng(1).generate(32), two.replica_rng(1).generate(32));
+  EXPECT_NE(one.replica_rng(1).generate(32), one.replica_rng(1).generate(32));
+  EXPECT_NE(one.client_rng(100).generate(32), two.client_rng(100).generate(32));
+}
+
 TEST(DumpRecord, ValidatesAgainstDaemonSchemaWithHostileMetricNames) {
   obs::MetricsRegistry metrics;
   obs::Tracer tracer;
