@@ -111,4 +111,11 @@ echo "=== threaded-runtime tests under TSan ==="
 # single-threaded and already covered by the ASan pass above.
 ctest --preset tsan
 
+echo "=== race gate: repeated TSan samples ==="
+# TSan reports a race only on the interleavings one run happens to hit, so
+# the suites that build, crash and restart nodes under live traffic run 20
+# times each, stopping at the first failure.  No suppression file.
+ctest --preset tsan -R "DurabilityThreads|MidBatch|ChaosRestart" \
+  --repeat until-fail:20
+
 echo "=== CI OK ==="

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <string>
@@ -406,16 +407,17 @@ Bytes marker(uint32_t client, uint64_t index) {
 }
 
 // Starts every client's pipelined closed loop (on its own worker under
-// kThreads, directly under kSim).
-void start_loops(Cluster& cluster, uint64_t ops_per_client) {
+// kThreads, directly under kSim).  `hook` sees every client's completions.
+void start_loops(Cluster& cluster, uint64_t ops_per_client,
+                 bft::Client::CompletionHook hook = nullptr) {
   for (uint32_t c = 0; c < cluster.num_clients(); ++c) {
     bft::Client& client = cluster.client(c);
     auto gen = [c](uint64_t i) { return marker(c, i); };
     if (cluster.options().runtime == RuntimeKind::kSim) {
-      client.run_closed_loop(gen, ops_per_client);
+      client.run_closed_loop(gen, ops_per_client, hook);
     } else {
-      cluster.host().post(client.id(), [&client, gen, ops_per_client] {
-        client.run_closed_loop(gen, ops_per_client);
+      cluster.host().post(client.id(), [&client, gen, ops_per_client, hook] {
+        client.run_closed_loop(gen, ops_per_client, hook);
       });
     }
   }
@@ -546,6 +548,10 @@ TEST_P(MidBatchCrash, PrimaryCrashLosesNoPayloadAndExecutesNoneTwice) {
   opts.client_batch = 4;
   opts.client_inflight = 2;
   opts.service_factory = [] { return std::make_unique<LogService>(); };
+  // Declared before the cluster: the client workers that run the hook stop
+  // before these die.
+  std::atomic<uint64_t> hooked{0};
+  std::atomic<bool> clients_cut{false};
   Cluster cluster(opts);
 
   auto completed = [&] {
@@ -555,17 +561,33 @@ TEST_P(MidBatchCrash, PrimaryCrashLosesNoPayloadAndExecutesNoneTwice) {
     }
     return total;
   };
+  auto for_each_client_link = [&](auto&& fn) {
+    for (uint32_t c = 0; c < kClients; ++c) {
+      for (uint32_t r = 0; r < cluster.n(); ++r) fn(Cluster::client_id(c), r);
+    }
+  };
 
-  start_loops(cluster, kOpsPerClient);
-
-  // Phase 1: let a couple of envelopes land, then kill the primary while
-  // both clients still have batched envelopes in flight (the closed loop
-  // keeps the inflight window full until the tail).
-  ASSERT_TRUE(run_until(cluster, [&] { return completed() >= 8; },
+  // Phase 1: once 8 payloads completed, the completion hook cuts every
+  // client -> replica link before the client refills its slot.  Only the
+  // envelopes already in flight (2 clients x 2 slots x 4 payloads) can
+  // finish after that, so the primary dies with batched envelopes in
+  // flight and most of the workload still to go.
+  start_loops(cluster, kOpsPerClient,
+              [&](uint64_t, host::Time, host::Time) {
+                if (hooked.fetch_add(1) + 1 != 8) return;
+                for_each_client_link([&](host::NodeId from, host::NodeId to) {
+                  cluster.faults().cut(from, to);
+                });
+                clients_cut = true;
+              });
+  ASSERT_TRUE(run_until(cluster, [&] { return clients_cut.load(); },
                         60 * host::kSecond))
       << "workload never started";
   ASSERT_LT(completed(), kTotal) << "workload finished before the crash";
   cluster.crash_replica(0);  // view-0 primary
+  for_each_client_link([&](host::NodeId from, host::NodeId to) {
+    cluster.faults().heal(from, to);
+  });
 
   // Phase 2: the watchdog demotes the dead primary; progress resumes in
   // view 1 on the surviving 2f + 1 quorum.  Once past the halfway mark,
@@ -575,11 +597,15 @@ TEST_P(MidBatchCrash, PrimaryCrashLosesNoPayloadAndExecutesNoneTwice) {
       << "no progress after the primary crash (view change stalled)";
   cluster.restart_replica(0);
 
-  // Phase 3: everything completes and the survivors converge.
+  // Phase 3: everything completes and every survivor executed it.  CP0
+  // executes a payload only after its reveal, which a survivor may still be
+  // collecting shares for when the client has its f + 1 replies, so poll
+  // the service logs, not the BFT delivery counter.
   auto done = [&] {
     if (completed() < kTotal) return false;
     for (uint32_t r = 1; r < cluster.n(); ++r) {
-      if (cluster.replica_executed(r) != cluster.replica_executed(1)) {
+      if (dynamic_cast<LogService&>(cluster.service(r)).log().size() <
+          kTotal) {
         return false;
       }
     }
