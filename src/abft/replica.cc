@@ -21,8 +21,6 @@ AsyncReplica::AsyncReplica(host::Host& host, NodeId id, bft::BftConfig config,
   bind();
 }
 
-AsyncReplica::~AsyncReplica() { unbind(); }
-
 // ---------------------------------------------------------------------------
 // Messaging
 

@@ -45,7 +45,7 @@ class AsyncReplica final : public host::HostBound<bft::ReplicaContext> {
                const bft::KeyRing& keys, const host::CostModel& costs,
                const CoinPublicKey& coin_pk, CoinKeyShare coin_share,
                bft::ReplicaApp* app, crypto::Drbg rng);
-  ~AsyncReplica() override;
+  ~AsyncReplica() override { unbind(); }
 
   // --- host::Node ---
   void on_message(NodeId from, BytesView msg) override;
